@@ -16,7 +16,8 @@
  *                        proactive|block|adaptive          [focused]
  *     --instructions N   dynamic instructions per seed     [60000]
  *     --seeds a,b,c      comma-separated seeds             [1,2,3]
- *     --save PATH        also write the (last) trace to PATH
+ *     --save PATH        also write the (last) trace to PATH as a
+ *                        .trc2 trace store (exit 1 if the write fails)
  */
 
 #include <cstdio>
@@ -30,7 +31,7 @@
 #include "harness/report.hh"
 #include "policy/extra_steering.hh"
 #include "policy/scheduling.hh"
-#include "trace/trace_io.hh"
+#include "trace/trace_store.hh"
 
 using namespace csim;
 
@@ -105,6 +106,17 @@ parse(int argc, char **argv)
     return o;
 }
 
+/** Write trace as a .trc2 store; a failed write ends the run. */
+void
+saveOrDie(const Trace &trace, const std::string &path)
+{
+    if (!saveTraceStore(trace, path)) {
+        std::fprintf(stderr, "simulate: cannot write trace store '%s'\n",
+                     path.c_str());
+        std::exit(1);
+    }
+}
+
 /** Run one workload under the requested setup; returns normalized
  *  CPI data for the report. */
 void
@@ -139,7 +151,7 @@ runOne(const Options &o, const std::string &wl,
             for (std::size_t c = 0; c < numCpCategories; ++c)
                 agg.categoryCycles[c] += bd.cycles[c];
             if (!o.savePath.empty())
-                saveTrace(trace, o.savePath);
+                saveOrDie(trace, o.savePath);
         }
     } else {
         PolicyKind kind = PolicyKind::Focused;
@@ -165,7 +177,7 @@ runOne(const Options &o, const std::string &wl,
             wcfg.targetInstructions = o.instructions;
             wcfg.seed = o.seeds.back();
             Trace trace = buildAnnotatedTrace(wl, wcfg);
-            saveTrace(trace, o.savePath);
+            saveOrDie(trace, o.savePath);
         }
     }
 

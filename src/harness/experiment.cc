@@ -55,12 +55,6 @@ configDigest(const ExperimentConfig &cfg)
        << ";profile=" << cfg.profile.enabled << ','
        << cfg.profile.intervalCycles << ','
        << cfg.profile.scoreCriticality
-       << ";adaptive=" << cfg.adaptive.enabled << ','
-       << cfg.adaptive.intervalCycles << ','
-       << cfg.adaptive.reactionIntervals << ','
-       << cfg.adaptive.minDwellIntervals << ','
-       << cfg.adaptive.revertOnRegression << ','
-       << cfg.adaptive.regressionTolerance
        << ";regions=" << cfg.regions << ',' << cfg.regionLen << ','
        << cfg.regionWarmup;
     return fnvHex(fnv1a64(os.str()));
@@ -76,11 +70,6 @@ struct PolicyStack
     std::unique_ptr<OnlineCriticalityTrainer> trainer;
     std::unique_ptr<SteeringPolicy> steering;
     std::unique_ptr<SchedulingPolicy> scheduling;
-    /** Concrete-type views of steering/scheduling when the stack uses
-     *  the retunable policies (the adaptive manager's knob surface);
-     *  null for the baselines. */
-    UnifiedSteering *unified = nullptr;
-    LocScheduling *locSched = nullptr;
 };
 
 PolicyStack
@@ -97,22 +86,17 @@ makeStack(const Trace &trace, PolicyKind kind,
         s.steering = std::make_unique<LoadBalanceSteering>();
         s.scheduling = std::make_unique<AgeScheduling>();
         break;
-      case PolicyKind::Dep: {
-        auto steer = std::make_unique<UnifiedSteering>(
+      case PolicyKind::Dep:
+        s.steering = std::make_unique<UnifiedSteering>(
             UnifiedSteeringOptions{}, nullptr, nullptr);
-        s.unified = steer.get();
-        s.steering = std::move(steer);
         s.scheduling = std::make_unique<AgeScheduling>();
         break;
-      }
       case PolicyKind::Focused: {
         s.critPred = std::make_unique<CriticalityPredictor>();
         UnifiedSteeringOptions opt;
         opt.focusOnCritical = true;
-        auto steer = std::make_unique<UnifiedSteering>(
+        s.steering = std::make_unique<UnifiedSteering>(
             opt, s.critPred.get(), nullptr);
-        s.unified = steer.get();
-        s.steering = std::move(steer);
         s.scheduling =
             std::make_unique<CriticalScheduling>(*s.critPred);
         s.trainer = std::make_unique<OnlineCriticalityTrainer>(
@@ -132,13 +116,9 @@ makeStack(const Trace &trace, PolicyKind kind,
         opt.stallThreshold = cfg.stallThreshold;
         opt.proactiveLB =
             kind == PolicyKind::FocusedLocStallProactive;
-        auto steer = std::make_unique<UnifiedSteering>(
+        s.steering = std::make_unique<UnifiedSteering>(
             opt, s.critPred.get(), s.locPred.get());
-        s.unified = steer.get();
-        s.steering = std::move(steer);
-        auto sched = std::make_unique<LocScheduling>(*s.locPred);
-        s.locSched = sched.get();
-        s.scheduling = std::move(sched);
+        s.scheduling = std::make_unique<LocScheduling>(*s.locPred);
         s.trainer = std::make_unique<OnlineCriticalityTrainer>(
             trace, s.critPred.get(), s.locPred.get(), cfg.trainChunk);
         break;
@@ -252,25 +232,6 @@ runPolicy(const Trace &trace, const MachineConfig &machine,
             std::make_unique<IntervalProfiler>(machine, trace, popt);
         sim_options.observers.push_back(profiler.get());
     }
-    std::unique_ptr<AdaptiveManager> adaptive;
-    if (cfg.adaptive.enabled) {
-        AdaptiveManagerOptions aopt;
-        aopt.intervalCycles = cfg.adaptive.intervalCycles;
-        aopt.brain.reactionIntervals = cfg.adaptive.reactionIntervals;
-        aopt.brain.minDwellIntervals = cfg.adaptive.minDwellIntervals;
-        aopt.brain.revertOnRegression = cfg.adaptive.revertOnRegression;
-        aopt.brain.regressionTolerance = cfg.adaptive.regressionTolerance;
-        // Attached to the measured run only: the warmup passes above
-        // must train under the static knobs the measured run starts
-        // from. The baselines expose no knobs — the manager still
-        // attaches (classification stats stay meaningful) but has
-        // nothing to turn.
-        adaptive = std::make_unique<AdaptiveManager>(
-            machine, trace, aopt, stack.unified, stack.locSched,
-            stack.locPred.get());
-        sim_options.observers.push_back(adaptive.get());
-    }
-
     TimingSim sim(machine, trace, *stack.steering, *stack.scheduling,
                   stack.trainer.get(), sim_options);
     PolicyRun out;
@@ -282,10 +243,6 @@ runPolicy(const Trace &trace, const MachineConfig &machine,
         if (cfg.profile.scoreCriticality)
             scoreCriticalityPredictions(trace, out.sim, machine,
                                         cfg.trainChunk);
-    }
-    if (adaptive) {
-        out.adaptive = adaptive->summary();
-        out.adaptiveLane = adaptive->lanePoints();
     }
 
     if (checker) {
@@ -325,12 +282,6 @@ AggregateResult::merge(const AggregateResult &other)
     globalValues += other.globalValues;
     stats.merge(other.stats);
     intervals.merge(other.intervals);
-    adaptive.merge(other.adaptive);
-    // Lanes concatenate: each merged run keeps its own decision
-    // timeline, and the fixed merge order keeps the result identical
-    // at any sweep thread count.
-    adaptiveLane.insert(adaptiveLane.end(), other.adaptiveLane.begin(),
-                        other.adaptiveLane.end());
 
     // Like-shaped phase lists (every seed/region runs the same specs)
     // fold elementwise; anything else concatenates, which keeps the
@@ -521,6 +472,17 @@ runRegionSampledCell(const TraceSoA &soa, const MachineConfig &machine,
         // that would run past the end of the trace.
         const std::uint64_t base = r * stride;
         Trace region = extractRegion(soa, base, span);
+        // loadTraceStore checks a store's header, not its rows: a
+        // forward or out-of-range producer link must stop here, not
+        // crash the timing core or yield a plausible CPI.
+        if (!region.wellFormed())
+            CSIM_FATAL_F("region sampling: region %llu (rows [%llu, "
+                         "%llu)) is not a well-formed trace: the trace "
+                         "store is corrupt",
+                         static_cast<unsigned long long>(r),
+                         static_cast<unsigned long long>(base),
+                         static_cast<unsigned long long>(
+                             base + region.size()));
         // A clamped tail region may be shorter than the warmup quota;
         // trim the warmup so the phase budget stays valid (the
         // measured phase then sees whatever remains).
@@ -560,8 +522,6 @@ runPolicyCell(const Trace &trace, const MachineConfig &machine,
                     run.breakdown, run.sim.globalValues,
                     run.sim.stats);
     agg.intervals = std::move(run.intervals);
-    agg.adaptive = run.adaptive;
-    agg.adaptiveLane = std::move(run.adaptiveLane);
     agg.phases = std::move(run.sim.phases);
     return agg;
 }

@@ -6,8 +6,8 @@
  * BenchContext is the shared command-line front end of every bench
  * binary: it parses `--json <path>`, `--instructions N`,
  * `--seeds a,b,c`, `--threads N`, `--check`, `--profile`,
- * `--profile-interval N`, `--adaptive`, `--adaptive-interval N`,
- * `--trace-out <path>`, `--ledger-out <path>`, `--heartbeat-ms N`,
+ * `--profile-interval N`, `--trace-out <path>`, `--ledger-out <path>`,
+ * `--heartbeat-ms N`,
  * `--stats-filter p1,p2`, `--legacy-step`, `--regions K`,
  * `--region-len N` and `--warmup N`, owns the sweep runner
  * + trace cache the
@@ -33,13 +33,6 @@
  *                              "cycles", "cpi"}, ...],
  *                  "intervals": {"intervalCycles": N,   // profiled
  *                                "series": [...]},      // runs only
- *                  "adaptive": {"runs", "intervals",    // adaptive
- *                               "transitions",          // runs only
- *                               "reverts",
- *                               "phases": {"smooth": N, ...},
- *                               "finalKnobs": {"stallThreshold",
- *                                              "locLowCutoff",
- *                                              "pressure"}},
  *                  "host": {"wallSeconds", "instructions",
  *                           "hostMips", "peakRssBytes"}},  // optional
  *                 ...,
@@ -88,10 +81,8 @@
 
 #include "core/timing.hh"
 #include "harness/report.hh"
-#include "obs/chrome_trace.hh"
 #include "obs/interval_profiler.hh"
 #include "obs/stats_registry.hh"
-#include "policy/adaptive_manager.hh"
 
 namespace csim {
 
@@ -190,9 +181,6 @@ class BenchContext
     /** True when --profile / --profile-interval / --trace-out given. */
     bool profileRequested() const { return profile_; }
 
-    /** True when --adaptive / --adaptive-interval was given. */
-    bool adaptiveRequested() const { return adaptive_; }
-
     bool jsonRequested() const { return !jsonPath_.empty(); }
     const std::string &jsonPath() const { return jsonPath_; }
 
@@ -220,16 +208,11 @@ class BenchContext
     void addGrid(const FigureGrid &grid);
 
     /** Record one aggregate cell's merged registry snapshot, plus its
-     *  interval series when the cell was profiled, its phase
-     *  outcomes when phases / region sampling were configured, and its
-     *  adaptive-manager summary + decision lane when adaptive steering
-     *  was enabled. */
+     *  interval series when the cell was profiled and its phase
+     *  outcomes when phases / region sampling were configured. */
     void addRunStats(const std::string &label, const StatsSnapshot &s,
                      const IntervalSeries &intervals = IntervalSeries{},
-                     const std::vector<PhaseResult> &phases = {},
-                     const AdaptiveSummary &adaptive = AdaptiveSummary{},
-                     const std::vector<AdaptiveLanePoint> &adaptiveLane =
-                         {});
+                     const std::vector<PhaseResult> &phases = {});
 
     /** Record every cell of a sweep outcome via addRunStats. */
     void addSweepRuns(const SweepOutcome &outcome);
@@ -257,11 +240,6 @@ class BenchContext
         IntervalSeries intervals;
         /** Merged phase outcomes (empty: unphased run). */
         std::vector<PhaseResult> phases;
-        /** Adaptive-manager aggregate (present() when the run was
-         *  adaptive). */
-        AdaptiveSummary adaptive;
-        /** Adaptive decision lane for the Chrome trace. */
-        std::vector<AdaptiveLanePoint> adaptiveLane;
         /** Host cost metrics; present when wallSeconds > 0. */
         RunHostMetrics host;
     };
@@ -279,8 +257,6 @@ class BenchContext
     bool legacyStep_ = false;             ///< --legacy-step: dense loop
     bool profile_ = false;                ///< --profile: arm cfg.profile
     std::uint64_t profileInterval_ = 0;   ///< 0: keep config default
-    bool adaptive_ = false;               ///< --adaptive: arm cfg.adaptive
-    std::uint64_t adaptiveInterval_ = 0;  ///< 0: keep config default
     unsigned regions_ = 0;                ///< --regions: sampled regions
     std::uint64_t regionLen_ = 0;         ///< --region-len: instrs each
     std::uint64_t warmup_ = 0;            ///< --warmup: phase warmup

@@ -65,13 +65,8 @@ struct SweepCell
     /** Per-cell config override (ablation axes); unset inherits the
      *  spec-wide config. */
     std::optional<ExperimentConfig> cfg;
-    /** Appended to label() — disambiguates cells that share a
-     *  (workload, machine, policy) triple but differ in config (e.g.
-     *  "+adaptive"). */
-    std::string labelSuffix;
 
-    /** "gcc/4x2w/focused", "gzip/8x1w/ideal", "vpr/2x4w/ideal-loc",
-     *  "gcc/4x2w/focused+loc+stall+adaptive". */
+    /** "gcc/4x2w/focused", "gzip/8x1w/ideal", "vpr/2x4w/ideal-loc". */
     std::string label() const;
 };
 

@@ -184,15 +184,20 @@ TraceCache::get(const std::string &workload, const WorkloadConfig &cfg,
             TraceStoreInfo info;
             if (loadTraceStore(soa, spill_path, &info) ==
                 TraceIoStatus::Ok) {
-                mmap_bytes = info.fileBytes;
                 // Rebase into an owning AoS trace (base 0: identity),
                 // releasing the mapping when `soa` goes out of scope.
                 auto loaded = std::make_shared<Trace>(
                     extractRegion(soa, 0, soa.size()));
-                (void)loaded->soa();
-                return std::shared_ptr<const Trace>(std::move(loaded));
+                if (loaded->wellFormed()) {
+                    mmap_bytes = info.fileBytes;
+                    (void)loaded->soa();
+                    return std::shared_ptr<const Trace>(
+                        std::move(loaded));
+                }
             }
-            // Unreadable spill file: fall back to a fresh build.
+            // Unreadable or corrupt spill file (the loader checks the
+            // header, wellFormed() the rows): fall back to a fresh
+            // build.
             spill_fallback = true;
         }
         HOST_PROF_SCOPE("traceCache.build");

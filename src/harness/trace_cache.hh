@@ -54,6 +54,8 @@ class TraceCache
      *        a spilled key mmaps the store back instead of re-running
      *        the whole build pipeline — the trace-build passes are
      *        deterministic, so the rehydrated trace is bit-identical.
+     *        A spill file that fails to load or holds a trace that is
+     *        not wellFormed() is ignored and the trace rebuilt.
      *        The directory must exist and files left in it belong to
      *        the caller (a temp dir in the bench binaries).
      */

@@ -82,10 +82,10 @@ class EventList
 };
 
 /**
- * A merged cell's adaptive lane is the concatenation of its seed
- * runs' decision streams (AggregateResult::merge), each restarting at
- * cycle 0. Sub-lane count = number of those restarts, so every seed's
- * timeline gets its own non-overlapping track.
+ * A merged lane is the concatenation of several runs' decision
+ * streams, each restarting at cycle 0. Sub-lane count = number of
+ * those restarts, so every run's timeline gets its own
+ * non-overlapping track.
  */
 std::size_t
 adaptiveSubLanes(const ChromeTraceRun &run)

@@ -27,10 +27,12 @@
 namespace csim {
 
 /**
- * One adaptive-manager decision as a timeline lane point. A plain
- * obs-layer mirror of the policy layer's decision record (obs sits
- * below policy in the link order, so the policy types are not
- * reachable from here).
+ * One policy decision as a timeline lane point: a phase slice with the
+ * knob values in force, plus transition/revert instants. Nothing in
+ * the simulator produces lanes any more (the closed-loop adaptive
+ * manager that did is gone); the renderer stays because the benchmark
+ * drivers under perfbench/ aggregate-initialise ChromeTraceRun with
+ * all three members.
  */
 struct AdaptiveLanePoint
 {
@@ -52,7 +54,7 @@ struct ChromeTraceRun
 {
     std::string label;
     IntervalSeries series;
-    /** Adaptive decision lane; empty when the run was static. */
+    /** Decision lane; empty for every run the simulator makes. */
     std::vector<AdaptiveLanePoint> adaptive;
 };
 

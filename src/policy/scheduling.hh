@@ -91,18 +91,6 @@ class LocScheduling : public SchedulingPolicy
         return level >= low_ ? top - level : top - low_ + 1;
     }
 
-    // --- Live retune surface (adaptive manager) ----------------- //
-
-    /** Retune the lowest level resolved above the non-critical mass
-     *  (plain setter; a sim runs on exactly one thread). Clamped to
-     *  [1, levels-1] so the priority math stays well-formed. */
-    void
-    setLowCutoff(unsigned low)
-    {
-        low_ = std::min(std::max(low, 1u), loc_.levels() - 1);
-    }
-    unsigned lowCutoff() const { return low_; }
-
     void
     registerStats(StatsRegistry &registry) override
     {
@@ -115,7 +103,7 @@ class LocScheduling : public SchedulingPolicy
 
   private:
     const LocPredictor &loc_;
-    unsigned low_;
+    const unsigned low_;
     Counter *statElevated_ = nullptr;
 };
 

@@ -15,7 +15,6 @@
 
 #include <vector>
 
-#include "common/logging.hh"
 #include "common/sat_counter.hh"
 #include "core/policy.hh"
 #include "obs/stats_registry.hh"
@@ -113,30 +112,6 @@ class UnifiedSteering : public SteeringPolicy
     void notifyCommit(const CoreView &view, InstId id,
                       const TraceRecord &rec) override;
     const char *name() const override { return name_.c_str(); }
-
-    // --- Live retune surface (adaptive manager) ----------------- //
-    // Plain setters are thread-safe by construction: a sim runs on
-    // exactly one thread and sweeps parallelize across whole runs,
-    // so a knob is only ever written by the thread reading it.
-
-    /** Retune the stall-over-steer LoC cutoff mid-run. */
-    void
-    setStallThreshold(double threshold)
-    {
-        options_.stallThreshold = threshold;
-    }
-    double stallThreshold() const { return options_.stallThreshold; }
-
-    /** Retune the proactive-LB pressure gate to num/den occupancy. */
-    void
-    setProactivePressure(unsigned num, unsigned den)
-    {
-        CSIM_ASSERT(den > 0 && num <= den);
-        options_.pressureNum = num;
-        options_.pressureDen = den;
-    }
-    unsigned pressureNum() const { return options_.pressureNum; }
-    unsigned pressureDen() const { return options_.pressureDen; }
 
   private:
     /** Least-occupied cluster that has a free window entry. */

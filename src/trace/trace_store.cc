@@ -51,7 +51,7 @@ struct StoreHeader
 };
 
 // The header is written/read as raw bytes, so its layout is the file
-// format; pin it down like trace_io's DiskRecord.
+// format; pin it down.
 static_assert(sizeof(ColumnDesc) == 16);
 static_assert(sizeof(StoreHeader) == 240,
               "trace v2 header must stay 240 bytes");
@@ -233,6 +233,20 @@ struct FdCloser
 
 } // anonymous namespace
 
+const char *
+traceIoStatusName(TraceIoStatus s)
+{
+    switch (s) {
+      case TraceIoStatus::Ok: return "ok";
+      case TraceIoStatus::CannotOpen: return "cannot open";
+      case TraceIoStatus::BadMagic: return "bad magic";
+      case TraceIoStatus::BadVersion: return "bad version";
+      case TraceIoStatus::Truncated: return "truncated";
+      case TraceIoStatus::BadEndianness: return "bad endianness";
+      default: return "unknown";
+    }
+}
+
 TraceStoreWriter::TraceStoreWriter(const std::string &path,
                                    std::uint64_t capacityInstructions)
     : path_(path), capacity_(capacityInstructions)
@@ -405,8 +419,9 @@ loadTraceStore(TraceSoA &soa, const std::string &path,
         return TraceIoStatus::Truncated;
     if (std::memcmp(got_magic, storeMagic, 7) != 0)
         return TraceIoStatus::BadMagic;
-    // Shared "csimtrc" prefix, different tail: a v1 file is a version
-    // mismatch, anything else is not one of our trace files.
+    // Shared "csimtrc" prefix, different tail: a v1 file (the retired
+    // AoS format) is a version mismatch, anything else is not one of
+    // our trace files.
     if (got_magic[7] != storeMagic[7])
         return got_magic[7] == '\0' ? TraceIoStatus::BadVersion
                                     : TraceIoStatus::BadMagic;

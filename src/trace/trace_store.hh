@@ -1,15 +1,13 @@
 /**
  * @file
- * Trace store v2: a columnar, mmap-able binary trace format.
+ * Trace store v2 (`.trc2`): the columnar, mmap-able binary trace
+ * format, and the only on-disk trace format.
  *
- * The v1 format (trace_io) freads 48-byte packed AoS records into a
- * std::vector — loading a 10M-instruction trace costs a full pass of
- * per-record copies and ~640 MB of AoS heap before the SoA view is
- * even built. The v2 store writes the *columns* themselves: the
- * on-disk layout after the header is exactly TraceSoA's column arena
- * (five 8-byte columns, then seven byte columns, each 8-byte aligned),
- * so loading is one mmap + header validation and the mapping itself
- * backs a zero-copy TraceSoA. Pages are faulted in only as the timing
+ * The store writes the *columns* themselves: the on-disk layout after
+ * the header is exactly TraceSoA's column arena (five 8-byte columns,
+ * then seven byte columns, each 8-byte aligned), so loading is one
+ * mmap + header validation and the mapping itself backs a zero-copy
+ * TraceSoA. Pages are faulted in only as the timing
  * core touches them, which is what lets region-sampled runs over a
  * multi-hundred-MB store stay within a small resident set.
  *
@@ -36,10 +34,25 @@
 #include <cstdint>
 #include <string>
 
-#include "trace/trace_io.hh"
 #include "trace/trace_soa.hh"
 
 namespace csim {
+
+/** Result of a load attempt. */
+enum class TraceIoStatus
+{
+    Ok,
+    CannotOpen,
+    BadMagic,
+    /** A "csimtrc" file of another format version (e.g. the retired
+     *  v1 AoS format, magic "csimtrc\0"). */
+    BadVersion,
+    Truncated,
+    /** File (or host) byte order does not match little-endian. */
+    BadEndianness,
+};
+
+const char *traceIoStatusName(TraceIoStatus s);
 
 struct TraceStoreOptions
 {
@@ -123,9 +136,11 @@ TraceIoStatus loadTraceStore(TraceSoA &soa, const std::string &path,
  * AoS trace, remapping producer links into region-local indices
  * (links reaching before the region become invalidInstId — the
  * operand was ready at dispatch, exactly the semantics of a link
- * reaching before a trace window). The result is wellFormed() and
- * feeds TimingSim like any built trace; only the touched rows' pages
- * of an mmap-backed view are faulted in.
+ * reaching before a trace window). Only the touched rows' pages of an
+ * mmap-backed view are faulted in. The result is wellFormed() only if
+ * the view's rows are: loadTraceStore does not check row contents, so
+ * a tampered store yields forward or out-of-range links here. Callers
+ * must check wellFormed() before handing the result to TimingSim.
  */
 Trace extractRegion(const TraceSoA &soa, std::uint64_t base,
                     std::uint64_t len);

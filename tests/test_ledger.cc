@@ -5,7 +5,7 @@
  * wall-only events, provenance digests, replay-command quoting, ring
  * wrap/recycling, and the crash paths (panic hook + dump content)
  * via death tests. BenchContext's --ledger-out / --trace-out startup
- * path validation is covered here too.
+ * path validation and its unknown-flag rejection are covered here too.
  */
 
 #include <gtest/gtest.h>
@@ -258,7 +258,7 @@ TEST(RunLedger, ConfigDigestTracksEveryKnob)
     other.seeds.push_back(9);
     EXPECT_NE(base, configDigest(other));
     other = cfg;
-    other.adaptive.enabled = true;
+    other.stallThreshold = 0.34;
     EXPECT_NE(base, configDigest(other));
     other = cfg;
     other.regions = 4;
@@ -450,6 +450,21 @@ TEST(BenchContextLedgerDeathTest, BadHeartbeatPeriodIsFatal)
     const char *argv0[] = {"bench", "--heartbeat-ms", "0"};
     EXPECT_DEATH(BenchContext("bench", 3, const_cast<char **>(argv0)),
                  "bad --heartbeat-ms '0'");
+}
+
+TEST(BenchContextDeathTest, UnknownFlagIsFatal)
+{
+    // Removed flags (the closed-loop adaptive manager's) must fail as
+    // loudly as any misspelling, never be silently ignored.
+    const char *adaptive[] = {"bench", "--adaptive"};
+    EXPECT_DEATH(BenchContext("bench", 2, const_cast<char **>(adaptive)),
+                 "unknown or incomplete argument '--adaptive'");
+    const char *interval[] = {"bench", "--adaptive-interval", "5"};
+    EXPECT_DEATH(BenchContext("bench", 3, const_cast<char **>(interval)),
+                 "unknown or incomplete argument '--adaptive-interval'");
+    const char *bogus[] = {"bench", "--bogus"};
+    EXPECT_DEATH(BenchContext("bench", 2, const_cast<char **>(bogus)),
+                 "unknown or incomplete argument '--bogus'");
 }
 
 TEST(BenchContextLedger, EndToEndLedgerAndProvenance)

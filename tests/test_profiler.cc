@@ -6,7 +6,8 @@
  * registry entries and criticality-scoring telemetry, composition with
  * the pipeline checker on one observer chain, byte-identical interval
  * aggregates across sweep thread counts, the Chrome trace-event
- * emitter's structure, prefix-filtered snapshots, and the schema-v3
+ * emitter's structure (cluster tracks and the decision lane),
+ * prefix-filtered snapshots, and the schema-v3
  * "intervals" emission through BenchContext.
  */
 
@@ -397,6 +398,47 @@ TEST(ChromeTrace, StructureAndDeterminism)
     std::ostringstream again;
     writeChromeTrace(again, runs);
     EXPECT_EQ(trace_json, again.str());
+}
+
+TEST(ChromeTrace, AdaptiveLaneEmission)
+{
+    std::vector<AdaptiveLanePoint> lane;
+    AdaptiveLanePoint p;
+    p.startCycle = 0;
+    p.cycles = 500;
+    p.phase = "smooth";
+    p.stallThreshold = 0.30;
+    p.locLowCutoff = 2;
+    p.pressure = 0.75;
+    lane.push_back(p);
+    p.startCycle = 500;
+    p.phase = "memory";
+    p.stallThreshold = 0.50;
+    p.transitioned = true;
+    lane.push_back(p);
+
+    std::vector<ChromeTraceRun> runs;
+    runs.push_back(
+        ChromeTraceRun{"gzip/2x4w/adaptive", IntervalSeries{}, lane});
+    std::ostringstream os;
+    writeChromeTrace(os, runs);
+    const std::string json = os.str();
+
+    // Lane metadata, per-interval phase slices, the knob counter
+    // track, and the transition instant.
+    EXPECT_NE(json.find("\"name\":\"adaptive\""), std::string::npos);
+    EXPECT_NE(json.find("\"name\":\"smooth\""), std::string::npos);
+    EXPECT_NE(json.find("\"name\":\"memory\""), std::string::npos);
+    EXPECT_NE(json.find("\"name\":\"adaptiveKnobs\""),
+              std::string::npos);
+    EXPECT_NE(json.find("\"name\":\"transition\""), std::string::npos);
+    EXPECT_NE(json.find("\"stallThreshold\":0.500"),
+              std::string::npos);
+
+    // Emission is a pure function of the lane.
+    std::ostringstream again;
+    writeChromeTrace(again, runs);
+    EXPECT_EQ(json, again.str());
 }
 
 // ---------------------------------------------------------------- //

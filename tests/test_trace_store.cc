@@ -2,8 +2,10 @@
  * @file
  * Tests for the columnar v2 trace store: round-trip fidelity (raw and
  * compressed), streaming-writer equivalence, region extraction, the
- * column-view simulation path, phased runs, and region-sampling
- * determinism.
+ * column-view simulation path, phased runs, region-sampling
+ * determinism, crafted hostile files, and tampered producer links
+ * reaching region sampling and the trace cache's spill rehydrate.
+ * Load-error reporting and Trace::wellFormed() are tested separately.
  */
 
 #include <gtest/gtest.h>
@@ -11,11 +13,16 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/timing_sim.hh"
 #include "harness/experiment.hh"
+#include "harness/trace_cache.hh"
+#include "obs/run_ledger.hh"
 #include "policy/scheduling.hh"
 #include "policy/steering.hh"
 #include "trace/trace_soa.hh"
@@ -581,6 +588,116 @@ TEST(TraceStoreCorruption, TruncatedVarintAtColumnEndIsRejected)
     TraceSoA soa;
     EXPECT_EQ(loadTraceStore(soa, path), TraceIoStatus::Truncated);
     std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------- //
+// Tampered producer links: the loader checks the header, not the
+// rows, so the consumers of loaded rows must
+
+/** The two tampered links: forward, and far out of range. */
+constexpr InstId tamperedLinks[] = {150, InstId{1} << 40};
+constexpr std::uint64_t tamperedRow = 100;
+
+/**
+ * Overwrite row `row`'s slot-0 producer link in an uncompressed store
+ * file. Column 2 is the slot-0 producer column; its {offset, bytes}
+ * descriptor sits at header byte 48 + 16 * 2 (see CraftedStore).
+ */
+void
+tamperProducerLink(const std::string &path, std::uint64_t row,
+                   InstId link)
+{
+    std::FILE *f = std::fopen(path.c_str(), "rb+");
+    ASSERT_NE(f, nullptr);
+    std::uint64_t offset = 0;
+    ASSERT_EQ(std::fseek(f, 48 + 16 * 2, SEEK_SET), 0);
+    ASSERT_EQ(std::fread(&offset, sizeof(offset), 1, f), 1u);
+    ASSERT_EQ(std::fseek(f, static_cast<long>(offset + 8 * row),
+                         SEEK_SET), 0);
+    ASSERT_EQ(std::fwrite(&link, sizeof(link), 1, f), 1u);
+    std::fclose(f);
+}
+
+TEST(TraceStoreTamperDeathTest, RegionWithTamperedLinkIsFatal)
+{
+    const Trace original = smallTrace("gzip", 4000, 1);
+    for (const InstId link : tamperedLinks) {
+        SCOPED_TRACE(link);
+        const std::string path = tempPath("tamperregion");
+        ASSERT_TRUE(saveTraceStore(original, path));
+        tamperProducerLink(path, tamperedRow, link);
+        TraceSoA soa;
+        ASSERT_EQ(loadTraceStore(soa, path), TraceIoStatus::Ok);
+
+        // Two regions of 500 warmup + 1000 measured rows each, 2000
+        // rows apart: region 0 spans rows [0, 1500) and holds row 100.
+        ExperimentConfig cfg;
+        cfg.regions = 2;
+        cfg.regionLen = 1000;
+        cfg.regionWarmup = 500;
+        EXPECT_EXIT(runRegionSampledCell(soa,
+                                         MachineConfig::clustered(4),
+                                         PolicyKind::FocusedLocStall,
+                                         cfg),
+                    ::testing::ExitedWithCode(1),
+                    "fatal: region sampling: region 0 \\(rows \\[0, "
+                    "1500\\)\\) is not a well-formed trace");
+        std::remove(path.c_str());
+    }
+}
+
+TEST(TraceStoreTamper, TamperedSpillFileIsRebuilt)
+{
+    WorkloadConfig wa;
+    wa.targetInstructions = 4000;
+    wa.seed = 1;
+    WorkloadConfig wb = wa;
+    wb.seed = 2;
+    TraceCache probe;
+    (void)probe.get("gzip", wa);
+    const std::size_t one = probe.bytesHeld();
+    ASSERT_GT(one, 0u);
+
+    ExperimentConfig cfg;
+    cfg.seeds = {1};
+    const MachineConfig machine = MachineConfig::clustered(4);
+    const Trace fresh = buildAnnotatedTrace("gzip", wa);
+    const AggregateResult expected = runPolicyCell(
+        fresh, machine, PolicyKind::FocusedLocStall, cfg);
+
+    for (const InstId link : tamperedLinks) {
+        SCOPED_TRACE(link);
+        const std::filesystem::path dir =
+            std::filesystem::path(::testing::TempDir()) /
+            ("csim_spill_tamper_" + std::to_string(link));
+        std::filesystem::remove_all(dir);
+        ASSERT_TRUE(std::filesystem::create_directories(dir));
+
+        // A one-trace budget: the second get evicts (spills) the
+        // first, leaving exactly one store file in the directory.
+        TraceCache cache(one, dir.string());
+        (void)cache.get("gzip", wa);
+        (void)cache.get("gzip", wb);
+        std::vector<std::filesystem::path> spills;
+        for (const auto &entry : std::filesystem::directory_iterator(dir))
+            spills.push_back(entry.path());
+        ASSERT_EQ(spills.size(), 1u);
+        tamperProducerLink(spills.front().string(), tamperedRow, link);
+
+        // The miss on the spilled key finds a corrupt store and takes
+        // the unreadable-spill path: a fresh build, not an mmap load.
+        const std::shared_ptr<const Trace> rebuilt = cache.get("gzip", wa);
+        const StatsSnapshot snap = cache.statsSnapshot();
+        EXPECT_EQ(snap.value("traceCache.builds"), 3.0);
+        EXPECT_EQ(snap.value("traceCache.mmap.loads"), 0.0);
+        ASSERT_TRUE(rebuilt->wellFormed());
+
+        const AggregateResult got = runPolicyCell(
+            *rebuilt, machine, PolicyKind::FocusedLocStall, cfg);
+        EXPECT_EQ(got.cycles, expected.cycles);
+        EXPECT_EQ(statsDigest(got.stats), statsDigest(expected.stats));
+        std::filesystem::remove_all(dir);
+    }
 }
 
 } // anonymous namespace
