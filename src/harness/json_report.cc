@@ -1,10 +1,10 @@
 #include "harness/json_report.hh"
 
-#include <cinttypes>
-#include <cmath>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 
 #include "common/logging.hh"
 #include "harness/experiment.hh"
@@ -16,163 +16,6 @@
 #include "obs/run_ledger.hh"
 
 namespace csim {
-
-JsonWriter::JsonWriter(std::ostream &out)
-    : out_(out)
-{
-}
-
-void
-JsonWriter::beforeValue()
-{
-    if (pendingKey_) {
-        pendingKey_ = false;
-        return;
-    }
-    if (!hasElement_.empty()) {
-        if (hasElement_.back())
-            out_ << ',';
-        hasElement_.back() = true;
-    }
-}
-
-void
-JsonWriter::writeEscaped(const std::string &s)
-{
-    out_ << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': out_ << "\\\""; break;
-          case '\\': out_ << "\\\\"; break;
-          case '\n': out_ << "\\n"; break;
-          case '\t': out_ << "\\t"; break;
-          case '\r': out_ << "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c));
-                out_ << buf;
-            } else {
-                out_ << c;
-            }
-        }
-    }
-    out_ << '"';
-}
-
-JsonWriter &
-JsonWriter::beginObject()
-{
-    beforeValue();
-    out_ << '{';
-    hasElement_.push_back(false);
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::endObject()
-{
-    CSIM_ASSERT(!hasElement_.empty() && !pendingKey_);
-    hasElement_.pop_back();
-    out_ << '}';
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::beginArray()
-{
-    beforeValue();
-    out_ << '[';
-    hasElement_.push_back(false);
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::endArray()
-{
-    CSIM_ASSERT(!hasElement_.empty() && !pendingKey_);
-    hasElement_.pop_back();
-    out_ << ']';
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::key(const std::string &name)
-{
-    CSIM_ASSERT(!pendingKey_);
-    if (!hasElement_.empty()) {
-        if (hasElement_.back())
-            out_ << ',';
-        hasElement_.back() = true;
-    }
-    writeEscaped(name);
-    out_ << ':';
-    pendingKey_ = true;
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::value(const std::string &v)
-{
-    beforeValue();
-    writeEscaped(v);
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::value(const char *v)
-{
-    return value(std::string(v));
-}
-
-JsonWriter &
-JsonWriter::value(double v)
-{
-    beforeValue();
-    if (!std::isfinite(v)) {
-        out_ << "null";
-        return *this;
-    }
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.12g", v);
-    out_ << buf;
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::value(std::uint64_t v)
-{
-    beforeValue();
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-    out_ << buf;
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::value(int v)
-{
-    beforeValue();
-    out_ << v;
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::value(bool v)
-{
-    beforeValue();
-    out_ << (v ? "true" : "false");
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::null()
-{
-    beforeValue();
-    out_ << "null";
-    return *this;
-}
 
 void
 writeStatValue(JsonWriter &w, const StatValue &v)
@@ -224,6 +67,25 @@ usage(const std::string &benchmark, const char *bad_arg)
     std::exit(0);
 }
 
+/**
+ * A numeric flag's value in [lo, hi]. Digits only, the rule
+ * parseThreadCount applies: no sign, no blanks, no overflow (strtoull
+ * alone would wrap "-1" to 2^64-1). Fatal, naming the flag, otherwise.
+ */
+std::uint64_t
+parseFlagValue(const std::string &benchmark, const char *flag,
+               const std::string &v, std::uint64_t lo = 1,
+               std::uint64_t hi = std::numeric_limits<std::uint64_t>::max())
+{
+    std::uint64_t n = 0;
+    const char *end = v.data() + v.size();
+    const auto [stop, ec] = std::from_chars(v.data(), end, n);
+    if (ec != std::errc{} || stop != end || n < lo || n > hi)
+        CSIM_FATAL_F("%s: bad %s '%s'", benchmark.c_str(), flag,
+                     v.c_str());
+    return n;
+}
+
 std::vector<std::uint64_t>
 parseSeedList(const std::string &benchmark, const std::string &arg)
 {
@@ -233,13 +95,8 @@ parseSeedList(const std::string &benchmark, const std::string &arg)
         std::size_t comma = arg.find(',', pos);
         if (comma == std::string::npos)
             comma = arg.size();
-        const std::string tok = arg.substr(pos, comma - pos);
-        char *end = nullptr;
-        const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-        if (tok.empty() || end == nullptr || *end != '\0')
-            CSIM_FATAL_F("%s: bad --seeds entry '%s'",
-                         benchmark.c_str(), tok.c_str());
-        seeds.push_back(v);
+        seeds.push_back(parseFlagValue(benchmark, "--seeds entry",
+                                       arg.substr(pos, comma - pos), 0));
         pos = comma + 1;
     }
     return seeds;
@@ -295,12 +152,8 @@ BenchContext::BenchContext(std::string benchmark, int argc, char **argv)
         if (arg == "--json") {
             jsonPath_ = next();
         } else if (arg == "--instructions") {
-            const std::string v = next();
-            char *end = nullptr;
-            instructions_ = std::strtoull(v.c_str(), &end, 10);
-            if (v.empty() || *end != '\0' || instructions_ == 0)
-                CSIM_FATAL_F("%s: bad --instructions '%s'",
-                             benchmark_.c_str(), v.c_str());
+            instructions_ = parseFlagValue(benchmark_, "--instructions",
+                                           next());
         } else if (arg == "--threads") {
             threadsArg_ = parseThreadCount(next(), "--threads");
         } else if (arg == "--seeds") {
@@ -312,12 +165,8 @@ BenchContext::BenchContext(std::string benchmark, int argc, char **argv)
         } else if (arg == "--profile") {
             profile_ = true;
         } else if (arg == "--profile-interval") {
-            const std::string v = next();
-            char *end = nullptr;
-            profileInterval_ = std::strtoull(v.c_str(), &end, 10);
-            if (v.empty() || *end != '\0' || profileInterval_ == 0)
-                CSIM_FATAL_F("%s: bad --profile-interval '%s'",
-                             benchmark_.c_str(), v.c_str());
+            profileInterval_ =
+                parseFlagValue(benchmark_, "--profile-interval", next());
             profile_ = true;
         } else if (arg == "--trace-out") {
             traceOutPath_ = next();
@@ -325,40 +174,17 @@ BenchContext::BenchContext(std::string benchmark, int argc, char **argv)
         } else if (arg == "--ledger-out") {
             ledgerPath_ = next();
         } else if (arg == "--heartbeat-ms") {
-            const std::string v = next();
-            char *end = nullptr;
-            const unsigned long long ms =
-                std::strtoull(v.c_str(), &end, 10);
-            if (v.empty() || *end != '\0' || ms == 0 ||
-                ms > 3600u * 1000u)
-                CSIM_FATAL_F("%s: bad --heartbeat-ms '%s'",
-                             benchmark_.c_str(), v.c_str());
-            heartbeatMs_ = static_cast<unsigned>(ms);
+            heartbeatMs_ = static_cast<unsigned>(parseFlagValue(
+                benchmark_, "--heartbeat-ms", next(), 1, 3600u * 1000u));
         } else if (arg == "--stats-filter") {
             statsFilter_ = parsePrefixList(next());
         } else if (arg == "--regions") {
-            const std::string v = next();
-            char *end = nullptr;
-            const unsigned long long k =
-                std::strtoull(v.c_str(), &end, 10);
-            if (v.empty() || *end != '\0' || k == 0 || k > 1u << 20)
-                CSIM_FATAL_F("%s: bad --regions '%s'",
-                             benchmark_.c_str(), v.c_str());
-            regions_ = static_cast<unsigned>(k);
+            regions_ = static_cast<unsigned>(
+                parseFlagValue(benchmark_, "--regions", next(), 1, 1u << 20));
         } else if (arg == "--region-len") {
-            const std::string v = next();
-            char *end = nullptr;
-            regionLen_ = std::strtoull(v.c_str(), &end, 10);
-            if (v.empty() || *end != '\0' || regionLen_ == 0)
-                CSIM_FATAL_F("%s: bad --region-len '%s'",
-                             benchmark_.c_str(), v.c_str());
+            regionLen_ = parseFlagValue(benchmark_, "--region-len", next());
         } else if (arg == "--warmup") {
-            const std::string v = next();
-            char *end = nullptr;
-            warmup_ = std::strtoull(v.c_str(), &end, 10);
-            if (v.empty() || *end != '\0' || warmup_ == 0)
-                CSIM_FATAL_F("%s: bad --warmup '%s'",
-                             benchmark_.c_str(), v.c_str());
+            warmup_ = parseFlagValue(benchmark_, "--warmup", next());
         } else if (arg == "--help" || arg == "-h") {
             usage(benchmark_, nullptr);
         } else {
@@ -685,17 +511,8 @@ BenchContext::finish()
     // so the cross-thread determinism checks verify that both runs
     // simulated identically-hashed traces from the same build.
     {
-        const Provenance prov = collectProvenance(cmdline_);
         w.key("provenance").beginObject();
-        w.key("gitSha").value(prov.gitSha);
-        w.key("buildType").value(prov.buildType);
-        w.key("buildFlags").value(prov.buildFlags);
-        w.key("hostProf").value(prov.hostProf);
-        w.key("cmdline").value(prov.cmdline);
-        w.key("env").beginObject();
-        for (const auto &[name, v] : prov.env)
-            w.key(name).value(v);
-        w.endObject();
+        writeProvenanceFields(w, collectProvenance(cmdline_));
         w.key("traceHashes").beginObject();
         if (cache_)
             for (const auto &[key, hash] : cache_->contentHashes())

@@ -2,7 +2,6 @@
  * @file
  * Machine-readable experiment output.
  *
- * JsonWriter is a tiny streaming JSON emitter (no external deps);
  * BenchContext is the shared command-line front end of every bench
  * binary: it parses `--json <path>`, `--instructions N`,
  * `--seeds a,b,c`, `--threads N`, `--check`, `--profile`,
@@ -74,7 +73,6 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -82,6 +80,7 @@
 #include "core/timing.hh"
 #include "harness/report.hh"
 #include "obs/interval_profiler.hh"
+#include "obs/json_writer.hh"
 #include "obs/stats_registry.hh"
 
 namespace csim {
@@ -91,42 +90,6 @@ struct SweepOutcome;
 class RunLedger;
 class SweepRunner;
 class TraceCache;
-
-/**
- * Minimal streaming JSON writer. The caller drives the structure
- * (beginObject/key/value/...); the writer tracks comma placement and
- * indentation. Doubles print with %.12g; NaN and infinities become
- * null (JSON has no encoding for them).
- */
-class JsonWriter
-{
-  public:
-    explicit JsonWriter(std::ostream &out);
-
-    JsonWriter &beginObject();
-    JsonWriter &endObject();
-    JsonWriter &beginArray();
-    JsonWriter &endArray();
-
-    JsonWriter &key(const std::string &name);
-
-    JsonWriter &value(const std::string &v);
-    JsonWriter &value(const char *v);
-    JsonWriter &value(double v);
-    JsonWriter &value(std::uint64_t v);
-    JsonWriter &value(int v);
-    JsonWriter &value(bool v);
-    JsonWriter &null();
-
-  private:
-    void beforeValue();
-    void writeEscaped(const std::string &s);
-
-    std::ostream &out_;
-    /** One frame per open container: true once it holds an element. */
-    std::vector<bool> hasElement_;
-    bool pendingKey_ = false;
-};
 
 /** Serialize one frozen stat (scalar or distribution payload). */
 void writeStatValue(JsonWriter &w, const StatValue &v);

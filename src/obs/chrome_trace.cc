@@ -5,47 +5,10 @@
 #include <ostream>
 
 #include "common/logging.hh"
+#include "obs/json_writer.hh"
 
 namespace csim {
 namespace {
-
-/** Minimal JSON string escape (labels are machine/policy names, but a
- *  trace path or workload label could in principle carry anything). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char ch : s) {
-        switch (ch) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          default:
-            if (static_cast<unsigned char>(ch) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(ch));
-                out += buf;
-            } else {
-                out += ch;
-            }
-        }
-    }
-    return out;
-}
 
 /** Fixed-point with 3 decimals, locale-independent. */
 std::string
@@ -106,8 +69,8 @@ void
 emitMetadata(EventList &ev, unsigned pid, const ChromeTraceRun &run)
 {
     ev.next() << "\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-              << ",\"tid\":0,\"args\":{\"name\":\""
-              << jsonEscape(run.label) << "\"}";
+              << ",\"tid\":0,\"args\":{\"name\":"
+              << jsonQuote(run.label) << "}";
     ev.endEvent();
     const std::size_t clusters = run.series.records.empty() ?
         0 : run.series.records.front().clusters.size();
@@ -158,8 +121,8 @@ emitAdaptiveLane(EventList &ev, unsigned pid, const ChromeTraceRun &run)
         prev_start = p.startCycle;
         if (p.cycles == 0)
             continue;
-        ev.next() << "\"name\":\"" << jsonEscape(p.phase)
-                  << "\",\"ph\":\"X\",\"pid\":" << pid
+        ev.next() << "\"name\":" << jsonQuote(p.phase)
+                  << ",\"ph\":\"X\",\"pid\":" << pid
                   << ",\"tid\":" << tid
                   << ",\"ts\":" << p.startCycle
                   << ",\"dur\":" << p.cycles
@@ -184,8 +147,8 @@ emitAdaptiveLane(EventList &ev, unsigned pid, const ChromeTraceRun &run)
                       << "\",\"ph\":\"i\",\"pid\":" << pid
                       << ",\"tid\":" << tid
                       << ",\"ts\":" << p.startCycle + p.cycles
-                      << ",\"s\":\"t\",\"args\":{\"phase\":\""
-                      << jsonEscape(p.phase) << "\"}";
+                      << ",\"s\":\"t\",\"args\":{\"phase\":"
+                      << jsonQuote(p.phase) << "}";
             ev.endEvent();
         }
     }

@@ -10,9 +10,9 @@
  * and the predictor telemetry. Cycles are mapped 1:1 onto trace
  * microseconds, so the timeline ruler reads directly in cycles.
  *
- * The emitter writes its own JSON: src/obs sits below src/harness in
- * the link order, so the harness's JsonWriter is not reachable from
- * here (and the format is flat enough not to need it).
+ * Strings go through the shared jsonQuote() (obs/json_writer.hh); the
+ * event layout is the emitter's own: one event per line and
+ * utilization args as %.3f.
  */
 
 #ifndef CSIM_OBS_CHROME_TRACE_HH

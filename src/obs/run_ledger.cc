@@ -1,123 +1,17 @@
 #include "obs/run_ledger.hh"
 
-#include <algorithm>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <sstream>
 
 #include "common/fnv.hh"
 #include "common/logging.hh"
 #include "obs/flight_recorder.hh"
 #include "obs/host_prof.hh"
+#include "obs/json_writer.hh"
 
 namespace csim {
-
-namespace {
-
-/**
- * Minimal append-to-string JSON builder for ledger payloads. The
- * harness's JsonWriter lives above this library in the link order, and
- * ledger lines are flat enough that a few helpers beat a dependency
- * inversion. Rendering is canonical: fixed key order at each call
- * site, %.12g doubles (the JsonWriter convention), deterministic
- * escaping — so equal payload values imply equal payload bytes.
- */
-void
-appendEscaped(std::string &out, const std::string &s)
-{
-    out += '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-}
-
-void
-appendKey(std::string &out, const char *key)
-{
-    if (out.back() != '{' && out.back() != '[')
-        out += ',';
-    out += '"';
-    out += key;
-    out += "\":";
-}
-
-void
-appendField(std::string &out, const char *key, const std::string &v)
-{
-    appendKey(out, key);
-    appendEscaped(out, v);
-}
-
-void
-appendField(std::string &out, const char *key, std::uint64_t v)
-{
-    appendKey(out, key);
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-    out += buf;
-}
-
-void
-appendField(std::string &out, const char *key, double v)
-{
-    appendKey(out, key);
-    if (!std::isfinite(v)) {
-        out += "null";
-        return;
-    }
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.12g", v);
-    out += buf;
-}
-
-void
-appendField(std::string &out, const char *key, bool v)
-{
-    appendKey(out, key);
-    out += v ? "true" : "false";
-}
-
-std::string
-provenanceJson(const std::string &benchmark, const Provenance &prov)
-{
-    std::string p = "{";
-    appendField(p, "benchmark", benchmark);
-    appendField(p, "ledgerSchemaVersion",
-                std::uint64_t{ledgerSchemaVersion});
-    appendKey(p, "provenance");
-    p += '{';
-    appendField(p, "gitSha", prov.gitSha);
-    appendField(p, "buildType", prov.buildType);
-    appendField(p, "buildFlags", prov.buildFlags);
-    appendField(p, "hostProf", prov.hostProf);
-    appendField(p, "cmdline", prov.cmdline);
-    appendKey(p, "env");
-    p += '{';
-    for (const auto &[name, value] : prov.env)
-        appendField(p, name.c_str(), value);
-    p += "}}}";
-    return p;
-}
-
-} // anonymous namespace
 
 Provenance
 collectProvenance(const std::string &cmdline)
@@ -149,6 +43,20 @@ collectProvenance(const std::string &cmdline)
             prov.env.emplace_back(name, value);
     }
     return prov;
+}
+
+void
+writeProvenanceFields(JsonWriter &w, const Provenance &prov)
+{
+    w.key("gitSha").value(prov.gitSha);
+    w.key("buildType").value(prov.buildType);
+    w.key("buildFlags").value(prov.buildFlags);
+    w.key("hostProf").value(prov.hostProf);
+    w.key("cmdline").value(prov.cmdline);
+    w.key("env").beginObject();
+    for (const auto &[name, value] : prov.env)
+        w.key(name).value(value);
+    w.endObject();
 }
 
 std::string
@@ -208,7 +116,13 @@ RunLedger::RunLedger(std::string path, std::string benchmark,
     if (!out_)
         CSIM_FATAL_F("%s: cannot open --ledger-out path '%s'",
                      benchmark_.c_str(), path_.c_str());
-    event("head", provenanceJson(benchmark_, provenance));
+    emit("head", [&](JsonWriter &w) {
+        w.key("benchmark").value(benchmark_);
+        w.key("ledgerSchemaVersion").value(ledgerSchemaVersion);
+        w.key("provenance").beginObject();
+        writeProvenanceFields(w, provenance);
+        w.endObject();
+    });
 }
 
 RunLedger::~RunLedger()
@@ -225,61 +139,66 @@ RunLedger::elapsedSeconds() const
 }
 
 void
-RunLedger::event(const char *kind, const std::string &payload_json,
-                 const std::string &wall_json)
+RunLedger::emit(const char *kind, const FieldsFn &payload,
+                const FieldsFn &wall)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    std::string line = "{";
-    appendField(line, "ledger", std::uint64_t{ledgerSchemaVersion});
-    appendField(line, "seq", seq_++);
-    appendField(line, "kind", std::string(kind));
-    appendKey(line, "wall");
+    std::ostringstream line;
+    JsonWriter w(line);
+    w.beginObject();
+    w.key("ledger").value(ledgerSchemaVersion);
+    w.key("seq").value(seq_++);
+    w.key("kind").value(kind);
     // Every event is stamped with its wall offset; extra wall fields
-    // (heartbeat samples, sweep wall times) splice in after it.
-    {
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "{\"tMs\":%.12g",
-                      elapsedSeconds() * 1e3);
-        line += buf;
-        if (!wall_json.empty()) {
-            CSIM_ASSERT(wall_json.front() == '{' &&
-                        wall_json.back() == '}');
-            if (wall_json.size() > 2) {
-                line += ',';
-                line.append(wall_json, 1, wall_json.size() - 2);
-            }
-        }
-        line += '}';
-    }
-    appendKey(line, "payload");
-    CSIM_ASSERT(!payload_json.empty() && payload_json.front() == '{');
-    line += payload_json;
-    line += '}';
+    // (heartbeat samples, sweep wall times) follow it.
+    w.key("wall").beginObject();
+    w.key("tMs").value(elapsedSeconds() * 1e3);
+    if (wall)
+        wall(w);
+    w.endObject();
+    w.key("payload").beginObject();
+    if (payload)
+        payload(w);
+    w.endObject();
+    w.endObject();
 
-    out_ << line << '\n';
+    const std::string text = line.str();
+    out_ << text << '\n';
     out_.flush();
     if (!out_)
         CSIM_FATAL_F("%s: failed writing ledger '%s'",
                      benchmark_.c_str(), path_.c_str());
     // The ledger line doubles as the flight-recorder breadcrumb: a
     // crash dump replays exactly what the ledger last saw.
-    FlightRecorder::note(line.c_str());
+    FlightRecorder::note(text.c_str());
 }
+
+namespace {
+
+double
+cpiOf(std::uint64_t instructions, std::uint64_t cycles)
+{
+    return instructions ? static_cast<double>(cycles) /
+                              static_cast<double>(instructions)
+                        : 0.0;
+}
+
+} // anonymous namespace
 
 void
 RunLedger::sweepBegin(std::uint64_t sweep, std::uint64_t cells,
                       std::uint64_t jobs, unsigned threads)
 {
-    std::string p = "{";
-    appendField(p, "sweep", sweep);
-    appendField(p, "cells", cells);
-    appendField(p, "jobs", jobs);
-    p += '}';
-    // Worker-thread count varies by invocation: wall side.
-    std::string wall = "{";
-    appendField(wall, "threads", std::uint64_t{threads});
-    wall += '}';
-    event("sweepBegin", p, wall);
+    emit("sweepBegin",
+         [&](JsonWriter &w) {
+             w.key("sweep").value(sweep);
+             w.key("cells").value(cells);
+             w.key("jobs").value(jobs);
+         },
+         // Worker-thread count varies by invocation: wall side.
+         [&](JsonWriter &w) {
+             w.key("threads").value(std::uint64_t{threads});
+         });
 }
 
 void
@@ -287,13 +206,12 @@ RunLedger::jobBegin(std::uint64_t sweep, const std::string &cell,
                     std::uint64_t seed,
                     const std::string &config_digest)
 {
-    std::string p = "{";
-    appendField(p, "sweep", sweep);
-    appendField(p, "cell", cell);
-    appendField(p, "seed", seed);
-    appendField(p, "configDigest", config_digest);
-    p += '}';
-    event("jobBegin", p);
+    emit("jobBegin", [&](JsonWriter &w) {
+        w.key("sweep").value(sweep);
+        w.key("cell").value(cell);
+        w.key("seed").value(seed);
+        w.key("configDigest").value(config_digest);
+    });
 }
 
 void
@@ -301,19 +219,15 @@ RunLedger::jobEnd(std::uint64_t sweep, const std::string &cell,
                   std::uint64_t seed, std::uint64_t instructions,
                   std::uint64_t cycles, const std::string &stats_digest)
 {
-    std::string p = "{";
-    appendField(p, "sweep", sweep);
-    appendField(p, "cell", cell);
-    appendField(p, "seed", seed);
-    appendField(p, "instructions", instructions);
-    appendField(p, "cycles", cycles);
-    appendField(p, "cpi",
-                instructions ? static_cast<double>(cycles) /
-                                   static_cast<double>(instructions)
-                             : 0.0);
-    appendField(p, "statsDigest", stats_digest);
-    p += '}';
-    event("jobEnd", p);
+    emit("jobEnd", [&](JsonWriter &w) {
+        w.key("sweep").value(sweep);
+        w.key("cell").value(cell);
+        w.key("seed").value(seed);
+        w.key("instructions").value(instructions);
+        w.key("cycles").value(cycles);
+        w.key("cpi").value(cpiOf(instructions, cycles));
+        w.key("statsDigest").value(stats_digest);
+    });
 }
 
 void
@@ -322,68 +236,61 @@ RunLedger::cellEnd(std::uint64_t sweep, const std::string &cell,
                    std::uint64_t cycles,
                    const std::string &stats_digest)
 {
-    std::string p = "{";
-    appendField(p, "sweep", sweep);
-    appendField(p, "cell", cell);
-    appendField(p, "seeds", seeds);
-    appendField(p, "instructions", instructions);
-    appendField(p, "cycles", cycles);
-    appendField(p, "cpi",
-                instructions ? static_cast<double>(cycles) /
-                                   static_cast<double>(instructions)
-                             : 0.0);
-    appendField(p, "statsDigest", stats_digest);
-    p += '}';
-    event("cellEnd", p);
+    emit("cellEnd", [&](JsonWriter &w) {
+        w.key("sweep").value(sweep);
+        w.key("cell").value(cell);
+        w.key("seeds").value(seeds);
+        w.key("instructions").value(instructions);
+        w.key("cycles").value(cycles);
+        w.key("cpi").value(cpiOf(instructions, cycles));
+        w.key("statsDigest").value(stats_digest);
+    });
 }
 
 void
 RunLedger::sweepEnd(std::uint64_t sweep, std::uint64_t cells,
                     std::uint64_t jobs, double wall_seconds)
 {
-    std::string p = "{";
-    appendField(p, "sweep", sweep);
-    appendField(p, "cells", cells);
-    appendField(p, "jobs", jobs);
-    p += '}';
-    std::string wall = "{";
-    appendField(wall, "wallSeconds", wall_seconds);
-    wall += '}';
-    event("sweepEnd", p, wall);
+    emit("sweepEnd",
+         [&](JsonWriter &w) {
+             w.key("sweep").value(sweep);
+             w.key("cells").value(cells);
+             w.key("jobs").value(jobs);
+         },
+         [&](JsonWriter &w) {
+             w.key("wallSeconds").value(wall_seconds);
+         });
 }
 
 void
 RunLedger::traceHashes(
     const std::vector<std::pair<std::string, std::string>> &hashes)
 {
-    std::string p = "{";
-    appendKey(p, "traces");
-    p += '[';
-    for (const auto &[key, hash] : hashes) {
-        if (p.back() != '[')
-            p += ',';
-        p += '{';
-        appendField(p, "key", key);
-        appendField(p, "hash", hash);
-        p += '}';
-    }
-    p += "]}";
-    event("traces", p);
+    emit("traces", [&](JsonWriter &w) {
+        w.key("traces").beginArray();
+        for (const auto &[key, hash] : hashes) {
+            w.beginObject();
+            w.key("key").value(key);
+            w.key("hash").value(hash);
+            w.endObject();
+        }
+        w.endArray();
+    });
 }
 
 void
 RunLedger::benchEnd(std::uint64_t grids, std::uint64_t runs,
                     std::uint64_t scalars, double wall_seconds)
 {
-    std::string p = "{";
-    appendField(p, "grids", grids);
-    appendField(p, "runs", runs);
-    appendField(p, "scalars", scalars);
-    p += '}';
-    std::string wall = "{";
-    appendField(wall, "wallSeconds", wall_seconds);
-    wall += '}';
-    event("benchEnd", p, wall);
+    emit("benchEnd",
+         [&](JsonWriter &w) {
+             w.key("grids").value(grids);
+             w.key("runs").value(runs);
+             w.key("scalars").value(scalars);
+         },
+         [&](JsonWriter &w) {
+             w.key("wallSeconds").value(wall_seconds);
+         });
 }
 
 std::uint64_t
@@ -412,15 +319,14 @@ RunLedger::emitHeartbeat()
         : 0.0;
     const HostMemoryStats mem = sampleHostMemory();
 
-    std::string wall = "{";
-    appendField(wall, "jobsDone", done);
-    appendField(wall, "jobsTotal", total);
-    appendField(wall, "instructions", instructions);
-    appendField(wall, "hostMips", mips);
-    appendField(wall, "etaSeconds", eta);
-    appendField(wall, "rssBytes", mem.currentRssBytes);
-    wall += '}';
-    event("heartbeat", "{}", wall);
+    emit("heartbeat", nullptr, [&](JsonWriter &w) {
+        w.key("jobsDone").value(done);
+        w.key("jobsTotal").value(total);
+        w.key("instructions").value(instructions);
+        w.key("hostMips").value(mips);
+        w.key("etaSeconds").value(eta);
+        w.key("rssBytes").value(mem.currentRssBytes);
+    });
 }
 
 void

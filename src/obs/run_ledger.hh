@@ -41,6 +41,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -50,6 +51,8 @@
 #include "obs/stats_registry.hh"
 
 namespace csim {
+
+class JsonWriter;
 
 /** The ledger's own NDJSON schema version (head payload). */
 inline constexpr int ledgerSchemaVersion = 1;
@@ -74,6 +77,11 @@ struct Provenance
 /** Provenance of this process: build-time identity (baked in by CMake)
  *  plus the given command line and the live CSIM_* environment. */
 Provenance collectProvenance(const std::string &cmdline);
+
+/** Write the provenance keys (gitSha, buildType, buildFlags, hostProf,
+ *  cmdline, env) into an open object: the ledger head and the bench
+ *  report's "provenance" block share these bytes. */
+void writeProvenanceFields(JsonWriter &w, const Provenance &prov);
 
 /** Quote argv into one shell-pasteable replay command. */
 std::string replayCommandLine(int argc, char **argv);
@@ -130,14 +138,8 @@ class RunLedger
     /** Stop the sampler (idempotent; also called by the destructor). */
     void stopHeartbeat();
 
-    // -- Event emitters. `payload_json` must be a complete JSON object
-    //    rendered deterministically; the envelope (seq, wall times) is
-    //    added here. Thread-safe; every line is flushed so tailers and
-    //    post-crash readers see complete events.
-
-    /** Generic emitter: wall_json "" means an empty wall object. */
-    void event(const char *kind, const std::string &payload_json,
-               const std::string &wall_json = "");
+    // -- Event emitters. Thread-safe; every line is flushed so tailers
+    //    and post-crash readers see complete events.
 
     void sweepBegin(std::uint64_t sweep, std::uint64_t cells,
                     std::uint64_t jobs, unsigned threads);
@@ -164,6 +166,14 @@ class RunLedger
     std::uint64_t nextSweepIndex();
 
   private:
+    /** Writes the fields of one already-open JSON object. */
+    using FieldsFn = std::function<void(JsonWriter &)>;
+
+    /** Emit one event line: the envelope (seq, wall offset) around the
+     *  fields `payload` and `wall` write (null: no extra fields). */
+    void emit(const char *kind, const FieldsFn &payload,
+              const FieldsFn &wall = nullptr);
+
     void emitHeartbeat();
     double elapsedSeconds() const;
 

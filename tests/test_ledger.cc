@@ -1,11 +1,13 @@
 /**
  * @file
  * Run-ledger and crash-flight-recorder tests: NDJSON envelope
- * structure, the cross-thread payload determinism contract, heartbeat
- * wall-only events, provenance digests, replay-command quoting, ring
- * wrap/recycling, and the crash paths (panic hook + dump content)
- * via death tests. BenchContext's --ledger-out / --trace-out startup
- * path validation and its unknown-flag rejection are covered here too.
+ * structure, golden bytes for every event kind, the cross-thread
+ * payload determinism contract, heartbeat wall-only events, provenance
+ * digests, replay-command quoting, ring wrap/recycling, and the crash
+ * paths (panic hook + dump content) via death tests. Also here: the
+ * report/ledger provenance match, string-escaping parity across the
+ * report, ledger and Chrome trace, and BenchContext's startup checks
+ * (output paths, numeric flag values, unknown flags).
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -25,6 +28,7 @@
 #include "harness/experiment.hh"
 #include "harness/json_report.hh"
 #include "harness/sweep.hh"
+#include "obs/chrome_trace.hh"
 #include "obs/flight_recorder.hh"
 #include "obs/run_ledger.hh"
 
@@ -78,6 +82,43 @@ kindOf(const std::string &line)
 {
     const std::string tail = fieldOf(line, "\"kind\":\"");
     return tail.substr(0, tail.find('"'));
+}
+
+/** The line with every value of its "wall" object replaced by '#':
+ *  wall values are flat numbers that vary run to run, while their keys
+ *  and order are part of the format. */
+std::string
+maskWall(const std::string &line)
+{
+    const std::string marker = "\"wall\":{";
+    const std::size_t at = line.find(marker);
+    EXPECT_NE(at, std::string::npos) << line;
+    if (at == std::string::npos)
+        return line;
+    std::string out = line.substr(0, at + marker.size());
+    std::size_t i = at + marker.size();
+    bool in_value = false;
+    for (; i < line.size() && line[i] != '}'; ++i) {
+        if (line[i] == ':') {
+            out += ":#";
+            in_value = true;
+        } else if (line[i] == ',') {
+            out += ',';
+            in_value = false;
+        } else if (!in_value) {
+            out += line[i];
+        }
+    }
+    return out + line.substr(i);
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path);
+    EXPECT_TRUE(static_cast<bool>(in)) << path;
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
 }
 
 Provenance
@@ -180,6 +221,93 @@ TEST(RunLedger, HeartbeatsAreWallOnly)
         EXPECT_NE(line.find("\"rssBytes\":"), std::string::npos);
     }
     EXPECT_GE(beats, 2u);
+    std::remove(path.c_str());
+}
+
+TEST(RunLedger, GoldenEventBytes)
+{
+    // One exact line per event kind, wall values masked: pins key
+    // order, escaping and number formats of the whole ledger format.
+    const std::string path = tempPath("golden");
+    Provenance prov = testProvenance();
+    prov.hostProf = true;
+    prov.env = {{"CSIM_LOG", "debug"}, {"CSIM_THREADS", "2"}};
+    {
+        RunLedger ledger(path, "golden_bench", prov);
+        ledger.sweepBegin(0, 2, 4, 3);
+        ledger.jobBegin(0, "gzip/2x4w/focused", 7, "0123456789abcdef");
+        ledger.jobEnd(0, "gzip/2x4w/focused", 7, 3000, 4500,
+                      "fedcba9876543210");
+        ledger.cellEnd(0, "gzip/2x4w/focused", 2, 6000, 7001,
+                       "00000000deadbeef");
+        ledger.sweepEnd(0, 2, 4, 1.25);
+        ledger.traceHashes({{"gzip|7|3000", "1111222233334444"},
+                            {"mcf|7|3000", "aaaabbbbccccdddd"}});
+        ledger.benchEnd(1, 2, 3, 2.5);
+        // Heartbeats start only now, so the first one is seq 8.
+        ledger.startHeartbeat(1);
+        for (int i = 0; i < 500; ++i) {
+            const std::vector<std::string> so_far = readLines(path);
+            if (so_far.size() > 8)
+                break;
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        }
+        ledger.stopHeartbeat();
+    }
+    const std::vector<std::string> lines = readLines(path);
+    const std::vector<std::string> expected = {
+        "{\"ledger\":1,\"seq\":0,\"kind\":\"head\",\"wall\":{\"tMs\":#},"
+        "\"payload\":{\"benchmark\":\"golden_bench\","
+        "\"ledgerSchemaVersion\":1,\"provenance\":{"
+        "\"gitSha\":\"cafef00dcafe\",\"buildType\":\"Test\","
+        "\"buildFlags\":\"-O2\",\"hostProf\":true,"
+        "\"cmdline\":\"test_ledger --fake\","
+        "\"env\":{\"CSIM_LOG\":\"debug\",\"CSIM_THREADS\":\"2\"}}}}",
+
+        "{\"ledger\":1,\"seq\":1,\"kind\":\"sweepBegin\","
+        "\"wall\":{\"tMs\":#,\"threads\":#},"
+        "\"payload\":{\"sweep\":0,\"cells\":2,\"jobs\":4}}",
+
+        "{\"ledger\":1,\"seq\":2,\"kind\":\"jobBegin\","
+        "\"wall\":{\"tMs\":#},"
+        "\"payload\":{\"sweep\":0,\"cell\":\"gzip/2x4w/focused\","
+        "\"seed\":7,\"configDigest\":\"0123456789abcdef\"}}",
+
+        "{\"ledger\":1,\"seq\":3,\"kind\":\"jobEnd\","
+        "\"wall\":{\"tMs\":#},"
+        "\"payload\":{\"sweep\":0,\"cell\":\"gzip/2x4w/focused\","
+        "\"seed\":7,\"instructions\":3000,\"cycles\":4500,\"cpi\":1.5,"
+        "\"statsDigest\":\"fedcba9876543210\"}}",
+
+        "{\"ledger\":1,\"seq\":4,\"kind\":\"cellEnd\","
+        "\"wall\":{\"tMs\":#},"
+        "\"payload\":{\"sweep\":0,\"cell\":\"gzip/2x4w/focused\","
+        "\"seeds\":2,\"instructions\":6000,\"cycles\":7001,"
+        "\"cpi\":1.16683333333,"
+        "\"statsDigest\":\"00000000deadbeef\"}}",
+
+        "{\"ledger\":1,\"seq\":5,\"kind\":\"sweepEnd\","
+        "\"wall\":{\"tMs\":#,\"wallSeconds\":#},"
+        "\"payload\":{\"sweep\":0,\"cells\":2,\"jobs\":4}}",
+
+        "{\"ledger\":1,\"seq\":6,\"kind\":\"traces\","
+        "\"wall\":{\"tMs\":#},"
+        "\"payload\":{\"traces\":["
+        "{\"key\":\"gzip|7|3000\",\"hash\":\"1111222233334444\"},"
+        "{\"key\":\"mcf|7|3000\",\"hash\":\"aaaabbbbccccdddd\"}]}}",
+
+        "{\"ledger\":1,\"seq\":7,\"kind\":\"benchEnd\","
+        "\"wall\":{\"tMs\":#,\"wallSeconds\":#},"
+        "\"payload\":{\"grids\":1,\"runs\":2,\"scalars\":3}}",
+
+        "{\"ledger\":1,\"seq\":8,\"kind\":\"heartbeat\","
+        "\"wall\":{\"tMs\":#,\"jobsDone\":#,\"jobsTotal\":#,"
+        "\"instructions\":#,\"hostMips\":#,\"etaSeconds\":#,"
+        "\"rssBytes\":#},\"payload\":{}}",
+    };
+    ASSERT_GT(lines.size(), expected.size() - 1);
+    for (std::size_t i = 0; i < expected.size(); ++i)
+        EXPECT_EQ(maskWall(lines[i]), expected[i]) << "line " << i;
     std::remove(path.c_str());
 }
 
@@ -452,6 +580,50 @@ TEST(BenchContextLedgerDeathTest, BadHeartbeatPeriodIsFatal)
                  "bad --heartbeat-ms '0'");
 }
 
+TEST(BenchContextLedgerDeathTest, NumericFlagsAcceptDigitsOnly)
+{
+    // strtoull alone would wrap "-1" to 2^64-1 and skip leading
+    // blanks; every numeric flag must reject them, and overflow, by
+    // name.
+    for (const char *flag :
+         {"--instructions", "--profile-interval", "--region-len",
+          "--warmup", "--regions", "--heartbeat-ms"}) {
+        for (const char *bad :
+             {"-1", " 7", "7 ", "18446744073709551616",
+              "99999999999999999999999"}) {
+            const char *argv[] = {"bench", flag, bad};
+            EXPECT_DEATH(BenchContext("bench", 3,
+                                      const_cast<char **>(argv)),
+                         std::string("bad ") + flag + " '" + bad + "'")
+                << flag << " " << bad;
+        }
+    }
+}
+
+TEST(BenchContextLedgerDeathTest, SeedEntriesAcceptDigitsOnly)
+{
+    for (const char *bad : {"1,-2", "1, 2", "18446744073709551616"}) {
+        const char *argv[] = {"bench", "--seeds", bad};
+        EXPECT_DEATH(BenchContext("bench", 3, const_cast<char **>(argv)),
+                     "bad --seeds entry")
+            << bad;
+    }
+}
+
+TEST(BenchContext, NumericFlagsTakeTheFullRange)
+{
+    const char *argv[] = {"bench", "--instructions",
+                          "18446744073709551615", "--seeds",
+                          "0,18446744073709551615"};
+    BenchContext ctx("bench", 5, const_cast<char **>(argv));
+    ExperimentConfig cfg;
+    ctx.apply(cfg);
+    EXPECT_EQ(cfg.instructions, 18446744073709551615ull);
+    ASSERT_EQ(cfg.seeds.size(), 2u);
+    EXPECT_EQ(cfg.seeds[0], 0u);
+    EXPECT_EQ(cfg.seeds[1], 18446744073709551615ull);
+}
+
 TEST(BenchContextDeathTest, UnknownFlagIsFatal)
 {
     // Removed flags (the closed-loop adaptive manager's) must fail as
@@ -503,15 +675,64 @@ TEST(BenchContextLedger, EndToEndLedgerAndProvenance)
     EXPECT_EQ(bench_end, 1u);
     EXPECT_EQ(cell_end, smallSpec().cells.size());
 
-    std::ifstream in(json_path);
-    std::string report((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
+    const std::string report = readFile(json_path);
     EXPECT_NE(report.find("\"schemaVersion\":7"), std::string::npos);
     EXPECT_NE(report.find("\"provenance\":{"), std::string::npos);
     EXPECT_NE(report.find("\"traceHashes\":{"), std::string::npos);
     EXPECT_NE(report.find("\"cmdline\":"), std::string::npos);
+
+    // The report's provenance is the ledger head's, key for key and
+    // byte for byte, plus "traceHashes" as its last key.
+    std::string head_prov =
+        fieldOf(payloadOf(lines.front()), "\"provenance\":");
+    ASSERT_FALSE(head_prov.empty());
+    head_prov.pop_back(); // the payload's closing brace
+    std::string report_prov = fieldOf(report, "\"provenance\":");
+    report_prov =
+        report_prov.substr(0, report_prov.find(",\"traceHashes\":"));
+    EXPECT_EQ(report_prov + "}", head_prov);
+    EXPECT_NE(head_prov.find("\"cmdline\":\"test_ledger_bench "),
+              std::string::npos);
     std::remove(ledger_path.c_str());
     std::remove(json_path.c_str());
+}
+
+TEST(JsonEscaping, SameBytesInReportLedgerAndChromeTrace)
+{
+    // A quote, a backslash, a newline and a bare control character:
+    // every artifact must encode them with the same bytes.
+    const std::string label = "odd\"label\\with\nnewline\x01";
+    const std::string escaped =
+        "\"odd\\\"label\\\\with\\nnewline\\u0001\"";
+
+    const std::string json_path = tempPath("escape_json");
+    {
+        const char *argv[] = {"escape_bench", "--json", json_path.c_str()};
+        BenchContext ctx("escape_bench", 3, const_cast<char **>(argv));
+        ctx.addRunStats(label, StatsSnapshot{});
+        EXPECT_EQ(ctx.finish(), 0);
+    }
+    EXPECT_NE(readFile(json_path).find("\"label\":" + escaped),
+              std::string::npos);
+    std::remove(json_path.c_str());
+
+    const std::string ledger_path = tempPath("escape_ledger");
+    {
+        RunLedger ledger(ledger_path, "escape_bench", testProvenance());
+        ledger.jobBegin(0, label, 1, "0123456789abcdef");
+    }
+    const std::vector<std::string> lines = readLines(ledger_path);
+    ASSERT_EQ(lines.size(), 2u);
+    EXPECT_NE(lines[1].find("\"cell\":" + escaped + ","),
+              std::string::npos)
+        << lines[1];
+    std::remove(ledger_path.c_str());
+
+    std::ostringstream trace;
+    writeChromeTrace(trace, {ChromeTraceRun{label, IntervalSeries{}, {}}});
+    EXPECT_NE(trace.str().find("\"args\":{\"name\":" + escaped + "}"),
+              std::string::npos)
+        << trace.str();
 }
 
 } // namespace
