@@ -10,14 +10,17 @@
  *   simulate [options]
  *     --workload NAME    one of the 12 proxies, or 'all'   [vpr]
  *     --clusters N       1..16                             [4]
- *     --width W          issue width per cluster           [8/N]
- *     --fwd L            inter-cluster latency, cycles     [2]
+ *     --width W          issue width per cluster, 1..64    [8/N]
+ *     --fwd L            inter-cluster latency, 0..64      [2]
  *     --policy P         modn|loadbal|dep|focused|loc|stall|
  *                        proactive|block|adaptive          [focused]
  *     --instructions N   dynamic instructions per seed     [60000]
  *     --seeds a,b,c      comma-separated seeds             [1,2,3]
  *     --save PATH        also write the (last) trace to PATH as a
  *                        .trc2 trace store (exit 1 if the write fails)
+ *
+ * A number flag with a sign, trailing junk or an out-of-range value
+ * is fatal ("simulate: bad --width '-2'"), never wrapped or clamped.
  */
 
 #include <cstdio>
@@ -28,6 +31,7 @@
 
 #include "common/stats.hh"
 #include "harness/experiment.hh"
+#include "harness/json_report.hh"
 #include "harness/report.hh"
 #include "policy/extra_steering.hh"
 #include "policy/scheduling.hh"
@@ -76,33 +80,27 @@ parse(int argc, char **argv)
         if (a == "--workload") {
             o.workload = next();
         } else if (a == "--clusters") {
-            o.clusters = std::atoi(next());
+            o.clusters = static_cast<unsigned>(
+                parseFlagValue("simulate", "--clusters", next(), 1, 16));
         } else if (a == "--width") {
-            o.width = std::atoi(next());
+            o.width = static_cast<unsigned>(
+                parseFlagValue("simulate", "--width", next(), 1, 64));
         } else if (a == "--fwd") {
-            o.fwd = std::atoi(next());
+            o.fwd = static_cast<unsigned>(
+                parseFlagValue("simulate", "--fwd", next(), 0, 64));
         } else if (a == "--policy") {
             o.policy = next();
         } else if (a == "--instructions") {
-            o.instructions = std::strtoull(next(), nullptr, 10);
+            o.instructions =
+                parseFlagValue("simulate", "--instructions", next());
         } else if (a == "--seeds") {
-            o.seeds.clear();
-            const char *s = next();
-            for (const char *p = s; *p;) {
-                o.seeds.push_back(std::strtoull(p, nullptr, 10));
-                while (*p && *p != ',')
-                    ++p;
-                if (*p == ',')
-                    ++p;
-            }
+            o.seeds = parseSeedList("simulate", next());
         } else if (a == "--save") {
             o.savePath = next();
         } else {
             usage();
         }
     }
-    if (o.clusters < 1 || o.clusters > 16 || o.seeds.empty())
-        usage();
     return o;
 }
 

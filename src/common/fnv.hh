@@ -1,9 +1,9 @@
 /**
  * @file
- * FNV-1a 64-bit hashing, shared by the trace-cache spill keys and the
+ * FNV-1a 64-bit hashing, shared by the trace-cache key hashes and the
  * run-ledger digests (config, stats, provenance). One implementation
  * so a hash printed in a ledger event can be matched byte-for-byte
- * against a spill file name or a report's provenance block.
+ * against a report's provenance block.
  */
 
 #ifndef CSIM_COMMON_FNV_HH

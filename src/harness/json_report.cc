@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 
 #include "common/logging.hh"
 #include "harness/experiment.hh"
@@ -46,6 +45,35 @@ writeSnapshot(JsonWriter &w, const StatsSnapshot &snap)
     w.endObject();
 }
 
+std::uint64_t
+parseFlagValue(const std::string &program, const char *flag,
+               const std::string &v, std::uint64_t lo, std::uint64_t hi)
+{
+    std::uint64_t n = 0;
+    const char *end = v.data() + v.size();
+    const auto [stop, ec] = std::from_chars(v.data(), end, n);
+    if (ec != std::errc{} || stop != end || n < lo || n > hi)
+        CSIM_FATAL_F("%s: bad %s '%s'", program.c_str(), flag,
+                     v.c_str());
+    return n;
+}
+
+std::vector<std::uint64_t>
+parseSeedList(const std::string &program, const std::string &arg)
+{
+    std::vector<std::uint64_t> seeds;
+    std::size_t pos = 0;
+    while (pos <= arg.size()) {
+        std::size_t comma = arg.find(',', pos);
+        if (comma == std::string::npos)
+            comma = arg.size();
+        seeds.push_back(parseFlagValue(program, "--seeds entry",
+                                       arg.substr(pos, comma - pos), 0));
+        pos = comma + 1;
+    }
+    return seeds;
+}
+
 namespace {
 
 [[noreturn]] void
@@ -65,41 +93,6 @@ usage(const std::string &benchmark, const char *bad_arg)
         CSIM_FATAL_F("%s: unknown or incomplete argument '%s'",
                      benchmark.c_str(), bad_arg);
     std::exit(0);
-}
-
-/**
- * A numeric flag's value in [lo, hi]. Digits only, the rule
- * parseThreadCount applies: no sign, no blanks, no overflow (strtoull
- * alone would wrap "-1" to 2^64-1). Fatal, naming the flag, otherwise.
- */
-std::uint64_t
-parseFlagValue(const std::string &benchmark, const char *flag,
-               const std::string &v, std::uint64_t lo = 1,
-               std::uint64_t hi = std::numeric_limits<std::uint64_t>::max())
-{
-    std::uint64_t n = 0;
-    const char *end = v.data() + v.size();
-    const auto [stop, ec] = std::from_chars(v.data(), end, n);
-    if (ec != std::errc{} || stop != end || n < lo || n > hi)
-        CSIM_FATAL_F("%s: bad %s '%s'", benchmark.c_str(), flag,
-                     v.c_str());
-    return n;
-}
-
-std::vector<std::uint64_t>
-parseSeedList(const std::string &benchmark, const std::string &arg)
-{
-    std::vector<std::uint64_t> seeds;
-    std::size_t pos = 0;
-    while (pos <= arg.size()) {
-        std::size_t comma = arg.find(',', pos);
-        if (comma == std::string::npos)
-            comma = arg.size();
-        seeds.push_back(parseFlagValue(benchmark, "--seeds entry",
-                                       arg.substr(pos, comma - pos), 0));
-        pos = comma + 1;
-    }
-    return seeds;
 }
 
 /**

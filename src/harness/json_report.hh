@@ -72,6 +72,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -96,6 +97,22 @@ void writeStatValue(JsonWriter &w, const StatValue &v);
 
 /** Serialize a whole snapshot as an object keyed by stat name. */
 void writeSnapshot(JsonWriter &w, const StatsSnapshot &snap);
+
+/**
+ * A numeric flag's value in [lo, hi]. Digits only, the rule
+ * parseThreadCount applies: no sign, no blanks, no overflow (strtoull
+ * alone would wrap "-1" to 2^64-1). Fatal otherwise, as
+ * "<program>: bad <flag> '<value>'".
+ */
+std::uint64_t
+parseFlagValue(const std::string &program, const char *flag,
+               const std::string &v, std::uint64_t lo = 1,
+               std::uint64_t hi = std::numeric_limits<std::uint64_t>::max());
+
+/** A comma-separated `--seeds` list; each entry is parsed by
+ *  parseFlagValue with a lower bound of 0. */
+std::vector<std::uint64_t>
+parseSeedList(const std::string &program, const std::string &arg);
 
 /** Host-side cost of one measured run (see addRunHost). */
 struct RunHostMetrics

@@ -28,8 +28,8 @@
  *
  * Kinds: "head" (provenance manifest), "sweepBegin", "jobBegin",
  * "jobEnd" (one (cell, seed) unit), "cellEnd" (merged cell, emitted in
- * deterministic merge order), "sweepEnd", "traces" (content hashes of
- * every annotated trace built), "benchEnd", and the wall-only
+ * deterministic merge order), "sweepEnd", "traces" (FNV-1a hashes of
+ * the cache key, i.e. the build inputs, of every annotated trace built), "benchEnd", and the wall-only
  * "heartbeat" emitted by a sampler thread.
  */
 
@@ -154,7 +154,8 @@ class RunLedger
     void sweepEnd(std::uint64_t sweep, std::uint64_t cells,
                   std::uint64_t jobs, double wall_seconds);
 
-    /** Content hashes of every annotated trace built (name-sorted). */
+    /** Cache-key (build-input) hashes of every annotated trace built
+     *  (name-sorted). */
     void traceHashes(
         const std::vector<std::pair<std::string, std::string>> &hashes);
 

@@ -152,7 +152,7 @@ class Trace
     /**
      * Host bytes held by this trace: the AoS records plus the SoA
      * arena when the column view has been materialized. This is what
-     * the TraceCache byte budget accounts.
+     * TraceCache reports as bytesHeld.
      */
     std::size_t footprintBytes() const;
 

@@ -21,8 +21,10 @@ constexpr std::uint32_t storeVersion = 2;
 /** Written as 0x01020304 by a little-endian host; any other byte
  *  order reads it back differently. */
 constexpr std::uint32_t endianTag = 0x01020304u;
-constexpr std::uint32_t flagCompressWide = 1u << 0;
-constexpr std::uint32_t knownFlags = flagCompressWide;
+/** Header flag bits this build understands: none. A store carrying
+ *  any flag (bit 0 once marked a retired varint column encoding) is a
+ *  layout this loader cannot map, so it loads as BadVersion. */
+constexpr std::uint32_t knownFlags = 0;
 
 /** Columns in TraceSoA arena order: five wide, then seven byte. */
 constexpr std::size_t numColumns = 12;
@@ -34,7 +36,7 @@ constexpr std::size_t columnElemBytes[numColumns] = {8, 8, 8, 8, 8,
 struct ColumnDesc
 {
     std::uint64_t offset; ///< from file start; 8-byte aligned
-    std::uint64_t bytes;  ///< encoded bytes (count*elem when raw)
+    std::uint64_t bytes;  ///< count * element size
 };
 
 struct StoreHeader
@@ -172,45 +174,6 @@ struct ColumnStage
     }
 };
 
-// --- LEB128 (unsigned varint) for the compressed wide columns. ---
-//
-// Producer columns are mostly the all-ones sentinel, which a plain
-// varint would inflate to ten bytes; encode prod values biased by +1
-// so the sentinel wraps to 0 (one byte). Guarded by the 2^40 id bound
-// the timing core already enforces, +1 cannot collide with it.
-
-void
-leb128Put(std::vector<std::uint8_t> &out, std::uint64_t v)
-{
-    while (v >= 0x80) {
-        out.push_back(static_cast<std::uint8_t>(v) | 0x80);
-        v >>= 7;
-    }
-    out.push_back(static_cast<std::uint8_t>(v));
-}
-
-bool
-leb128Get(const std::uint8_t *&p, const std::uint8_t *end,
-          std::uint64_t &v)
-{
-    v = 0;
-    for (unsigned shift = 0; shift < 64; shift += 7) {
-        if (p == end)
-            return false;
-        const std::uint8_t byte = *p++;
-        // The 10th byte holds only bit 64 of the value: any payload
-        // above 0x01 (or a continuation bit) would shift past 64 bits
-        // and silently truncate, so a crafted file must be rejected,
-        // not decoded to a wrong value.
-        if (shift == 63 && byte > 0x01)
-            return false;
-        v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-        if (!(byte & 0x80))
-            return true;
-    }
-    return false;
-}
-
 struct Unmapper
 {
     std::size_t len;
@@ -338,59 +301,10 @@ TraceStoreWriter::finalize()
 }
 
 bool
-saveTraceStore(const Trace &trace, const std::string &path,
-               TraceStoreOptions opts)
+saveTraceStore(const Trace &trace, const std::string &path)
 {
-    if (!opts.compressWide) {
-        TraceStoreWriter writer(path, trace.size());
-        return writer.append(trace) && writer.finalize();
-    }
-
-    const int fd =
-        ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
-    if (fd < 0)
-        return false;
-    FdCloser closer{fd};
-
-    const ColumnStage stage(trace);
-    const std::size_t n = trace.size();
-
-    std::vector<std::uint8_t> encoded[numWideColumns];
-    for (std::size_t c = 0; c < numWideColumns; ++c) {
-        encoded[c].reserve(n * 2);
-        const bool isProd = c >= 2;
-        for (std::uint64_t v : stage.wide[c])
-            leb128Put(encoded[c], isProd ? v + 1 : v);
-    }
-
-    StoreHeader hdr = {};
-    std::memcpy(hdr.magic, storeMagic, sizeof(storeMagic));
-    hdr.version = storeVersion;
-    hdr.endian = endianTag;
-    hdr.count = n;
-    hdr.capacity = n;
-    hdr.producerLinks = stage.producerLinks;
-    hdr.flags = flagCompressWide;
-    hdr.columnCount = numColumns;
-    std::uint64_t offset = sizeof(StoreHeader);
-    for (std::size_t c = 0; c < numColumns; ++c) {
-        hdr.col[c].offset = offset;
-        hdr.col[c].bytes = c < numWideColumns
-            ? encoded[c].size()
-            : n * columnElemBytes[c];
-        offset = alignUp8(offset + hdr.col[c].bytes);
-    }
-
-    if (!pwriteAll(fd, &hdr, sizeof(hdr), 0))
-        return false;
-    for (std::size_t c = 0; c < numColumns; ++c) {
-        const void *data = c < numWideColumns
-            ? static_cast<const void *>(encoded[c].data())
-            : stage.data(c);
-        if (!pwriteAll(fd, data, hdr.col[c].bytes, hdr.col[c].offset))
-            return false;
-    }
-    return ::ftruncate(fd, static_cast<off_t>(offset)) == 0;
+    TraceStoreWriter writer(path, trace.size());
+    return writer.append(trace) && writer.finalize();
 }
 
 TraceIoStatus
@@ -444,7 +358,6 @@ loadTraceStore(TraceSoA &soa, const std::string &path,
         return TraceIoStatus::BadEndianness;
     if (hdr.count > hdr.capacity)
         return TraceIoStatus::Truncated;
-    const bool compressed = hdr.flags & flagCompressWide;
     for (std::size_t c = 0; c < numColumns; ++c) {
         const ColumnDesc &col = hdr.col[c];
         // Extent check phrased to be immune to uint64 wrap: a crafted
@@ -455,106 +368,35 @@ loadTraceStore(TraceSoA &soa, const std::string &path,
             col.bytes >
                 static_cast<std::uint64_t>(file_bytes) - col.offset)
             return TraceIoStatus::Truncated;
-        const bool raw = !compressed || c >= numWideColumns;
-        if (raw && col.bytes != hdr.count * columnElemBytes[c])
+        if (col.bytes != hdr.count * columnElemBytes[c])
             return TraceIoStatus::Truncated;
     }
 
+    // Every column holds exactly count elements; the byte columns'
+    // extents bound count by the file size, so count * 8 cannot wrap.
     const std::size_t n = hdr.count;
     const std::byte *map = static_cast<const std::byte *>(base);
+    auto column = [&](std::size_t c) { return map + hdr.col[c].offset; };
     TraceSoA::Columns cols;
     cols.size = n;
     cols.producerLinks = hdr.producerLinks;
-
-    if (!compressed) {
-        cols.pc = reinterpret_cast<const Addr *>(map + hdr.col[0].offset);
-        cols.memAddr =
-            reinterpret_cast<const Addr *>(map + hdr.col[1].offset);
-        for (int slot = 0; slot < numSrcSlots; ++slot)
-            cols.prod[slot] = reinterpret_cast<const InstId *>(
-                map + hdr.col[2 + slot].offset);
-        cols.op =
-            reinterpret_cast<const Opcode *>(map + hdr.col[5].offset);
-        cols.cls =
-            reinterpret_cast<const OpClass *>(map + hdr.col[6].offset);
-        cols.execLat = reinterpret_cast<const std::uint8_t *>(
-            map + hdr.col[7].offset);
-        cols.flags = reinterpret_cast<const std::uint8_t *>(
-            map + hdr.col[8].offset);
-        cols.dest = reinterpret_cast<const RegIndex *>(
-            map + hdr.col[9].offset);
-        cols.src1 = reinterpret_cast<const RegIndex *>(
-            map + hdr.col[10].offset);
-        cols.src2 = reinterpret_cast<const RegIndex *>(
-            map + hdr.col[11].offset);
-        if (info) {
-            info->instructions = n;
-            info->fileBytes = file_bytes;
-            info->mappedBytes = file_bytes;
-            info->compressed = false;
-        }
-        soa = TraceSoA(cols, std::move(mapping));
-        return TraceIoStatus::Ok;
-    }
-
-    // Compressed: decode the wide columns into an owned arena laid
-    // out like TraceSoA's, copy the byte columns, drop the mapping.
-    const std::size_t arena_bytes =
-        n * (numWideColumns * sizeof(std::uint64_t) +
-             (numColumns - numWideColumns));
-    std::shared_ptr<std::byte[]> arena(new std::byte[arena_bytes]);
-    std::byte *cursor = arena.get();
-    std::uint64_t *wide[numWideColumns];
-    for (std::size_t c = 0; c < numWideColumns; ++c) {
-        wide[c] = reinterpret_cast<std::uint64_t *>(cursor);
-        cursor += n * sizeof(std::uint64_t);
-    }
-    std::uint8_t *narrow[numColumns - numWideColumns];
-    for (std::size_t c = numWideColumns; c < numColumns; ++c) {
-        narrow[c - numWideColumns] =
-            reinterpret_cast<std::uint8_t *>(cursor);
-        cursor += n;
-    }
-    CSIM_ASSERT(cursor == arena.get() + arena_bytes);
-
-    for (std::size_t c = 0; c < numWideColumns; ++c) {
-        const std::uint8_t *p = reinterpret_cast<const std::uint8_t *>(
-            map + hdr.col[c].offset);
-        const std::uint8_t *end = p + hdr.col[c].bytes;
-        const bool isProd = c >= 2;
-        for (std::size_t i = 0; i < n; ++i) {
-            std::uint64_t v = 0;
-            if (!leb128Get(p, end, v))
-                return TraceIoStatus::Truncated;
-            wide[c][i] = isProd ? v - 1 : v;
-        }
-        if (p != end)
-            return TraceIoStatus::Truncated;
-    }
-    for (std::size_t c = numWideColumns; c < numColumns; ++c)
-        std::memcpy(narrow[c - numWideColumns],
-                    map + hdr.col[c].offset, n);
-
-    cols.pc = reinterpret_cast<const Addr *>(wide[0]);
-    cols.memAddr = reinterpret_cast<const Addr *>(wide[1]);
+    cols.pc = reinterpret_cast<const Addr *>(column(0));
+    cols.memAddr = reinterpret_cast<const Addr *>(column(1));
     for (int slot = 0; slot < numSrcSlots; ++slot)
         cols.prod[slot] =
-            reinterpret_cast<const InstId *>(wide[2 + slot]);
-    cols.op = reinterpret_cast<const Opcode *>(narrow[0]);
-    cols.cls = reinterpret_cast<const OpClass *>(narrow[1]);
-    cols.execLat = narrow[2];
-    cols.flags = narrow[3];
-    cols.dest = narrow[4];
-    cols.src1 = narrow[5];
-    cols.src2 = narrow[6];
+            reinterpret_cast<const InstId *>(column(2 + slot));
+    cols.op = reinterpret_cast<const Opcode *>(column(5));
+    cols.cls = reinterpret_cast<const OpClass *>(column(6));
+    cols.execLat = reinterpret_cast<const std::uint8_t *>(column(7));
+    cols.flags = reinterpret_cast<const std::uint8_t *>(column(8));
+    cols.dest = reinterpret_cast<const RegIndex *>(column(9));
+    cols.src1 = reinterpret_cast<const RegIndex *>(column(10));
+    cols.src2 = reinterpret_cast<const RegIndex *>(column(11));
     if (info) {
         info->instructions = n;
         info->fileBytes = file_bytes;
-        info->mappedBytes = 0;
-        info->compressed = true;
     }
-    soa = TraceSoA(cols, std::shared_ptr<const void>(
-                             arena, arena.get()));
+    soa = TraceSoA(cols, std::move(mapping));
     return TraceIoStatus::Ok;
 }
 

@@ -18,11 +18,6 @@
  * producer-link total the timing core needs to size its waiter pool)
  * into the header.
  *
- * An optional per-column LEB128 varint mode (saveTraceStore with
- * compressWide) shrinks the five wide columns — pc/memAddr deltas are
- * small and most producer links are near sentinels — at the cost of a
- * decode pass into an owned arena on load (no zero-copy).
- *
  * All multi-byte fields are little-endian; the header carries an
  * endianness tag and loads reject foreign byte order with
  * TraceIoStatus::BadEndianness instead of misinterpreting.
@@ -45,7 +40,8 @@ enum class TraceIoStatus
     CannotOpen,
     BadMagic,
     /** A "csimtrc" file of another format version (e.g. the retired
-     *  v1 AoS format, magic "csimtrc\0"). */
+     *  v1 AoS format, magic "csimtrc\0"), or a v2 header carrying a
+     *  flag bit this build does not define. */
     BadVersion,
     Truncated,
     /** File (or host) byte order does not match little-endian. */
@@ -54,22 +50,12 @@ enum class TraceIoStatus
 
 const char *traceIoStatusName(TraceIoStatus s);
 
-struct TraceStoreOptions
-{
-    /** LEB128-encode the five wide (8-byte) columns. Compressed
-     *  stores load into an owned arena instead of zero-copy mmap. */
-    bool compressWide = false;
-};
-
 /** Metadata of a loaded store (for stats and diagnostics). */
 struct TraceStoreInfo
 {
     std::uint64_t instructions = 0;
+    /** Also the bytes kept mmap-ed for the view's lifetime. */
     std::uint64_t fileBytes = 0;
-    /** Bytes kept mmap-ed for the view's lifetime (0 when the load
-     *  decoded into an owned arena). */
-    std::uint64_t mappedBytes = 0;
-    bool compressed = false;
 };
 
 /**
@@ -114,19 +100,19 @@ class TraceStoreWriter
 };
 
 /**
- * Write a whole in-memory trace as one v2 store (the non-streaming
- * convenience path; the only way to produce a compressed store).
+ * Write a whole in-memory trace as one v2 store: a TraceStoreWriter
+ * sized to the trace, one append, finalize.
  * @return true on success.
  */
-bool saveTraceStore(const Trace &trace, const std::string &path,
-                    TraceStoreOptions opts = {});
+bool saveTraceStore(const Trace &trace, const std::string &path);
 
 /**
- * Load (mmap + validate) a v2 store as a column view. Uncompressed
- * stores are zero-copy: the returned TraceSoA's columns point into
- * the mapping, which stays alive as long as the view (or anything
- * holding its keepalive) does. Compressed stores decode into an owned
- * arena. @param[out] soa Replaced on success; untouched otherwise.
+ * Load (mmap + validate) a v2 store as a zero-copy column view: the
+ * returned TraceSoA's columns point into the mapping, which stays
+ * alive as long as the view (or anything holding its keepalive) does.
+ * A header carrying any flag bit is a format this build cannot read
+ * (BadVersion). @param[out] soa Replaced on success; untouched
+ * otherwise.
  */
 TraceIoStatus loadTraceStore(TraceSoA &soa, const std::string &path,
                              TraceStoreInfo *info = nullptr);

@@ -1,6 +1,6 @@
 /**
  * @file
- * Sweep engine tests: TraceCache build-once/hit/eviction semantics,
+ * Sweep engine tests: TraceCache build-once/hit semantics,
  * SweepRunner determinism across thread counts (bit-identical
  * aggregates, including the merged stats snapshots), equivalence with
  * the legacy sequential entry points, and BenchContext's --threads
@@ -84,103 +84,24 @@ TEST(TraceCache, CachedTraceMatchesFreshBuild)
     }
 }
 
-TEST(TraceCache, EvictsLruByByteBudget)
+TEST(TraceCache, HoldsEveryKeyItBuilt)
 {
-    // Capacity of one trace: the second insert evicts the first.
-    TraceCache probe;
-    auto first = probe.get("gzip", smallWorkload(1));
-    const std::size_t one = probe.bytesHeld();
-    ASSERT_GT(one, 0u);
-
-    TraceCache cache(one);
-    auto a = cache.get("gzip", smallWorkload(1));
-    EXPECT_EQ(cache.evictions(), 0u);
-    auto b = cache.get("gzip", smallWorkload(2));
-    EXPECT_EQ(cache.evictions(), 1u);
-    EXPECT_EQ(cache.entries(), 1u);
-    EXPECT_LE(cache.bytesHeld(), one);
-
-    // The evicted trace stays alive through the held shared_ptr, and
-    // re-requesting it is a rebuild, not a hit.
-    EXPECT_GT(a->size(), 0u);
-    auto a2 = cache.get("gzip", smallWorkload(1));
-    EXPECT_EQ(cache.builds(), 3u);
-    EXPECT_EQ(cache.hits(), 0u);
-}
-
-TEST(TraceCache, SpillsEvictionsAndRehydratesByMmap)
-{
-    // Size the budget to exactly one trace so the second insert
-    // evicts (and, with a spill dir, spills) the first.
-    TraceCache probe;
-    (void)probe.get("gzip", smallWorkload(1));
-    const std::size_t one = probe.bytesHeld();
-    ASSERT_GT(one, 0u);
-
-    const std::string dir = ::testing::TempDir();
-    TraceCache cache(one, dir);
-    auto a = cache.get("gzip", smallWorkload(1));
-    auto b = cache.get("gzip", smallWorkload(2));
-    {
-        const StatsSnapshot snap = cache.statsSnapshot();
-        EXPECT_EQ(snap.value("traceCache.evictions"), 1.0);
-        EXPECT_EQ(snap.value("traceCache.spill.writes"), 1.0);
-        EXPECT_GT(snap.value("traceCache.spill.bytes"), 0.0);
-        EXPECT_EQ(snap.value("traceCache.mmap.loads"), 0.0);
-    }
-
-    // A miss on the spilled key re-mmaps the store file instead of
-    // re-running the build pipeline, and the rehydrated trace is
-    // bit-identical to a fresh build.
-    auto a2 = cache.get("gzip", smallWorkload(1));
-    {
-        const StatsSnapshot snap = cache.statsSnapshot();
-        EXPECT_EQ(snap.value("traceCache.builds"), 2.0);
-        EXPECT_EQ(snap.value("traceCache.mmap.loads"), 1.0);
-        EXPECT_GT(snap.value("traceCache.mmap.bytes"), 0.0);
-    }
-    const Trace fresh = buildAnnotatedTrace("gzip", smallWorkload(1));
-    ASSERT_EQ(a2->size(), fresh.size());
-    for (std::uint64_t i = 0; i < fresh.size(); ++i) {
-        ASSERT_EQ((*a2)[i].pc, fresh[i].pc) << i;
-        ASSERT_EQ((*a2)[i].prod, fresh[i].prod) << i;
-        ASSERT_EQ((*a2)[i].mispredicted, fresh[i].mispredicted) << i;
-        ASSERT_EQ((*a2)[i].l1Miss, fresh[i].l1Miss) << i;
-    }
-}
-
-TEST(TraceCache, NoSpillDirMeansPlainEviction)
-{
-    TraceCache probe;
-    (void)probe.get("gzip", smallWorkload(1));
-    const std::size_t one = probe.bytesHeld();
-
-    TraceCache cache(one);  // no spill dir
-    (void)cache.get("gzip", smallWorkload(1));
-    (void)cache.get("gzip", smallWorkload(2));
-    (void)cache.get("gzip", smallWorkload(1));  // full rebuild
-    const StatsSnapshot snap = cache.statsSnapshot();
-    EXPECT_EQ(snap.value("traceCache.builds"), 3.0);
-    EXPECT_EQ(snap.value("traceCache.spill.writes"), 0.0);
-    EXPECT_EQ(snap.value("traceCache.mmap.loads"), 0.0);
-}
-
-TEST(TraceCache, UnlimitedCapacityNeverEvicts)
-{
-    TraceCache cache;  // capacity 0 = unlimited
+    TraceCache cache;
     for (std::uint64_t seed = 1; seed <= 4; ++seed)
         cache.get("gzip", smallWorkload(seed));
-    EXPECT_EQ(cache.evictions(), 0u);
+    EXPECT_EQ(cache.builds(), 4u);
     EXPECT_EQ(cache.entries(), 4u);
 }
 
 TEST(TraceCache, ClearDropsEntries)
 {
     TraceCache cache;
-    cache.get("gzip", smallWorkload(1));
+    auto held = cache.get("gzip", smallWorkload(1));
     cache.clear();
     EXPECT_EQ(cache.entries(), 0u);
     EXPECT_EQ(cache.bytesHeld(), 0u);
+    // A cell still holding the trace keeps it alive past clear().
+    EXPECT_GT(held->size(), 0u);
     cache.get("gzip", smallWorkload(1));
     EXPECT_EQ(cache.builds(), 2u);
 }
@@ -191,7 +112,10 @@ TEST(TraceCache, StatsSnapshotCarriesRegistry)
     cache.get("gzip", smallWorkload(1));
     cache.get("gzip", smallWorkload(1));
     StatsSnapshot snap = cache.statsSnapshot();
-    EXPECT_GE(snap.size(), 10u);  // CI validates --min-stats 10
+    // The eight stats tools/check_bench_json.py requires of the
+    // report's "traceCache" run entry.
+    EXPECT_EQ(snap.size(), 8u);
+    EXPECT_GT(snap.value("traceCache.bytesBuilt"), 0.0);
     EXPECT_EQ(snap.value("traceCache.requests"), 2.0);
     EXPECT_EQ(snap.value("traceCache.builds"), 1.0);
     EXPECT_EQ(snap.value("traceCache.hits"), 1.0);
@@ -199,7 +123,6 @@ TEST(TraceCache, StatsSnapshotCarriesRegistry)
     EXPECT_GT(snap.value("traceCache.bytesHeld"), 0.0);
     EXPECT_GT(snap.value("traceCache.peakBytes"), 0.0);
     EXPECT_EQ(snap.value("traceCache.entriesHeld"), 1.0);
-    EXPECT_EQ(snap.value("traceCache.evictions"), 0.0);
 }
 
 TEST(TraceCache, TimeSnapshotTracksBuildLatency)

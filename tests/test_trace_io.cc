@@ -104,26 +104,6 @@ TEST(TraceIoV2, TruncationDetected)
     std::remove(path.c_str());
 }
 
-TEST(TraceIoV2, CompressedTruncationDetected)
-{
-    const Trace original = smallTrace("vpr", 400, 2);
-    const std::string path = tempPath("v2ztrunc");
-    TraceStoreOptions opts;
-    opts.compressWide = true;
-    ASSERT_TRUE(saveTraceStore(original, path, opts));
-
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f, 0, SEEK_END);
-    const long size = std::ftell(f);
-    std::fclose(f);
-
-    ASSERT_EQ(truncate(path.c_str(), size / 2), 0);
-    TraceSoA soa;
-    EXPECT_EQ(loadTraceStore(soa, path), TraceIoStatus::Truncated);
-    std::remove(path.c_str());
-}
-
 TEST(TraceIoV2, StatusNames)
 {
     EXPECT_STREQ(traceIoStatusName(TraceIoStatus::Ok), "ok");

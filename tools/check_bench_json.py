@@ -45,6 +45,9 @@ host block also carries "measuredInstructions" — the instruction count
 its "hostMips" divides, pruned of warmup and trace-build subtrees.
 
 A distribution is {"lo": num, "hi": num, "total": num, "buckets": [ints]}.
+--min-stats applies to every run except the one labelled "traceCache",
+which must instead carry each of the trace cache's own stats
+(TRACE_CACHE_STATS; older reports carried six more, which is fine).
 A run's "intervals" object (v3+) is
 {"intervalCycles": int, "clusterIssueWidth": int,
  "windowPerCluster": int, "mergeCount": int,
@@ -70,6 +73,13 @@ import json
 import sys
 
 DIST_KEYS = {"lo", "hi", "total", "buckets"}
+
+TRACE_CACHE_STATS = (
+    "traceCache.requests", "traceCache.builds", "traceCache.hits",
+    "traceCache.bytesBuilt", "traceCache.bytesHeld",
+    "traceCache.peakBytes", "traceCache.entriesHeld",
+    "traceCache.hitRate",
+)
 
 CPI_STACK_KEYS = {
     "base", "window", "steerStall", "bypass", "contention",
@@ -379,9 +389,15 @@ def check_report(path, min_stats, require_host=False):
                 isinstance(run.get("label"), str) and
                 isinstance(run.get("stats"), dict),
                 f"runs[{i}]: needs string 'label' and object 'stats'")
-        require(len(run["stats"]) >= min_stats,
-                f"runs[{i}] ('{run['label']}'): only "
-                f"{len(run['stats'])} stats, expected >= {min_stats}")
+        if run["label"] == "traceCache":
+            missing = [n for n in TRACE_CACHE_STATS
+                       if n not in run["stats"]]
+            require(not missing,
+                    f"runs[{i}] ('traceCache'): missing {missing}")
+        else:
+            require(len(run["stats"]) >= min_stats,
+                    f"runs[{i}] ('{run['label']}'): only "
+                    f"{len(run['stats'])} stats, expected >= {min_stats}")
         for name, v in run["stats"].items():
             check_stat(name, v)
         if "phases" in run:

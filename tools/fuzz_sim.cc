@@ -268,8 +268,7 @@ compareStats(const char *what, const StatsSnapshot &a,
  * Round-trip the case's trace through the columnar store (save →
  * mmap-load → simulate) and check the loaded copy reproduces the
  * original run byte for byte, both through the rebuilt-AoS pipeline
- * and straight off the mmap-ed column view. Compression alternates by
- * seed so both file layouts stay covered.
+ * and straight off the mmap-ed column view.
  */
 std::string
 checkStoreRoundTrip(const Trace &trace, const MachineConfig &config,
@@ -279,21 +278,16 @@ checkStoreRoundTrip(const Trace &trace, const MachineConfig &config,
     const std::string path = "/tmp/csim_fuzz_" +
         std::to_string(::getpid()) + "_" + std::to_string(seed) +
         ".trc2";
-    TraceStoreOptions sopt;
-    sopt.compressWide = (seed & 1) != 0;
-    if (!saveTraceStore(trace, path, sopt))
+    if (!saveTraceStore(trace, path))
         return "store: save failed";
     TraceSoA soa;
-    TraceStoreInfo info;
-    const TraceIoStatus st = loadTraceStore(soa, path, &info);
+    const TraceIoStatus st = loadTraceStore(soa, path);
     std::remove(path.c_str());
     if (st != TraceIoStatus::Ok)
         return std::string("store: load failed: ") +
             traceIoStatusName(st);
     if (soa.size() != trace.size())
         return "store: instruction count changed in round trip";
-    if (info.compressed != sopt.compressWide)
-        return "store: compression flag not preserved";
 
     // Rebuilt-AoS path: identical inputs through the identical
     // harness must give identical outputs.
