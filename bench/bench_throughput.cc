@@ -11,10 +11,10 @@
  *
  *   ./build/bench/bench_throughput --json BENCH_throughput.json
  *
- * Every future speed PR (SoA timing loop, skip-ahead, binary trace
- * store) is judged against that file. The canonical (duration-free)
- * timer tree is printed to stdout so CI can archive it and diff it
- * across thread counts.
+ * Every speed change (SoA timing loop, binary trace store) is judged
+ * against that file. The canonical (duration-free) timer tree is
+ * printed to stdout so CI can archive it and diff it across thread
+ * counts.
  */
 
 #include <unistd.h>
@@ -144,7 +144,7 @@ main(int argc, char **argv)
                     host.wallSeconds, mips,
                     static_cast<double>(mem.peakRssBytes) /
                         (1024.0 * 1024.0));
-        if (HostProf::compiledIn() && HostProf::enabled())
+        if (HostProf::compiledIn())
             printTimerTree(HostProf::snapshot(), 0, 0);
         std::printf("\n");
     }
@@ -153,7 +153,7 @@ main(int argc, char **argv)
     // across thread counts for this fixed grid, so CI can diff it.
     // The end marker bounds that diff — everything after it (the
     // large-trace box) carries wall times and RSS samples.
-    if (HostProf::compiledIn() && HostProf::enabled()) {
+    if (HostProf::compiledIn()) {
         std::printf("=== canonical timer tree (duration-free) ===\n%s"
                     "=== end canonical tree ===\n",
                     hostProfCanonical(HostProf::snapshot()).c_str());
@@ -236,7 +236,7 @@ main(int argc, char **argv)
                     agg.cpi(),
                     static_cast<double>(mem.peakRssBytes) /
                         (1024.0 * 1024.0));
-        if (HostProf::compiledIn() && HostProf::enabled())
+        if (HostProf::compiledIn())
             printTimerTree(HostProf::snapshot(), 0, 0);
         std::remove(path.c_str());
     }

@@ -31,7 +31,8 @@ namespace csim {
  * kept with std::push_heap/pop_heap — the same comparator and pop
  * order a std::priority_queue would give, but with the storage
  * reservable and the minimum inspectable (nextPendingCycle() is what
- * lets the timing core's skip-ahead bound an idle span).
+ * lets the timing core skip the promote scan on cycles with no wakeup
+ * due).
  */
 class Cluster
 {

@@ -405,12 +405,17 @@ TimingSim::run()
         static_cast<std::uint64_t>(options_.maxCpi) * n + 100000;
 
     now_ = 0;
-    // Observers receive per-cycle hooks, so observed runs must visit
-    // every cycle; bare runs ride the skip-ahead.
-    if (options_.legacyStep || !observers_.empty())
-        runDense(cycle_limit);
-    else
-        runSkipAhead(cycle_limit);
+    while (commitIdx_ < n) {
+        doIssue();
+        doCommit();
+        doSteer();
+        doFetch();
+        for (SimObserver *obs : observers_)
+            obs->onCycleEnd(*this);
+        ++now_;
+        if (now_ > cycle_limit)
+            stuckPanic();
+    }
 
     for (Cluster &cluster : clusters_)
         cluster.finishOccupancy(now_);
@@ -467,172 +472,6 @@ TimingSim::run()
 }
 
 void
-TimingSim::runDense(std::uint64_t cycle_limit)
-{
-    const std::uint64_t n = soa_.size();
-    while (commitIdx_ < n) {
-        doIssue();
-        doCommit();
-        doSteer();
-        doFetch();
-        for (SimObserver *obs : observers_)
-            obs->onCycleEnd(*this);
-        ++now_;
-        if (now_ > cycle_limit)
-            stuckPanic();
-    }
-}
-
-void
-TimingSim::runSkipAhead(std::uint64_t cycle_limit)
-{
-    const std::uint64_t n = soa_.size();
-    // The O(clusters) idle probe only runs after a cycle in which no
-    // stage did anything: a busy machine never pays for it, and a
-    // machine going idle pays one densely stepped idle cycle before
-    // the span check fires. Stepping that first idle cycle densely is
-    // stat-exact — a truly idle cycle's dense bookkeeping (the zero-
-    // ILP bucket, the blocked-stage stall counters) is precisely what
-    // skipTo() folds per skipped cycle.
-    bool quiet = true;
-    while (commitIdx_ < n) {
-        Cycle skip_target = now_;
-        {
-            // One scope per dense batch, never per cycle.
-            HOST_PROF_SCOPE("sim.step.dense");
-            while (commitIdx_ < n) {
-                if (quiet) {
-                    skip_target = idleSkipTarget();
-                    if (skip_target != now_)
-                        break;
-                }
-                const std::uint64_t cursors =
-                    commitIdx_ + steerIdx_ + fetchIdx_;
-                const std::uint64_t issued = doIssue();
-                doCommit();
-                doSteer();
-                doFetch();
-                quiet = issued == 0 &&
-                    commitIdx_ + steerIdx_ + fetchIdx_ == cursors;
-                ++now_;
-                if (now_ > cycle_limit)
-                    stuckPanic();
-            }
-        }
-        if (commitIdx_ >= n)
-            break;
-        HOST_PROF_SCOPE("sim.step.skip");
-        skipTo(skip_target, cycle_limit);
-        // The cycle jumped to has a pending event, so step it densely
-        // without re-probing.
-        quiet = false;
-    }
-}
-
-Cycle
-TimingSim::idleSkipTarget() const
-{
-    const std::uint64_t n = soa_.size();
-    Cycle target = invalidCycle;
-
-    // Issue: any issuable (or promotable) instruction forces a dense
-    // cycle; otherwise the earliest pending wakeup bounds the skip.
-    // Both reads are O(1): the mask and bound are kept exact by the
-    // issue and steer stages.
-    if (readyMask_ != 0 || nextPendingBound_ <= now_)
-        return now_;
-    if (nextPendingBound_ < target)
-        target = nextPendingBound_;
-
-    // Commit: the head retires the cycle after it completes.
-    const InstTiming &head = timing_[commitIdx_];
-    if (head.complete != invalidCycle) {
-        if (head.complete < now_)
-            return now_;
-        if (head.complete + 1 < target)
-            target = head.complete + 1;
-    }
-
-    // Steer: consulting the policy has per-call side effects
-    // (predictor training, stall decisions), so any cycle that would
-    // reach the policy is dense. Structural blocks (ROB or all
-    // windows full) persist for the whole idle span — no issues or
-    // commits happen in it — and their per-cycle counters fold.
-    if (steerIdx_ < n) {
-        const InstTiming &s = timing_[steerIdx_];
-        if (s.fetch != invalidCycle) {
-            const Cycle delivered = s.fetch + config_.frontendDepth;
-            if (delivered > now_) {
-                if (delivered < target)
-                    target = delivered;
-            } else if (steerIdx_ - commitIdx_ < config_.robEntries &&
-                       freeWindowsTotal_ > 0) {
-                return now_;
-            }
-        }
-        // Unfetched head: fetch below decides.
-    }
-
-    // Fetch: a stalled front end resumes at a known cycle once the
-    // mispredicted branch has issued; an unstalled front end with
-    // room would fetch right now.
-    if (fetchStalled_) {
-        if (fetchResume_ != invalidCycle) {
-            if (now_ >= fetchResume_)
-                return now_;
-            if (fetchResume_ < target)
-                target = fetchResume_;
-        }
-    } else if (fetchIdx_ < n && fetchIdx_ < fetchBound()) {
-        return now_;
-    }
-
-    return target;
-}
-
-void
-TimingSim::skipTo(Cycle target, std::uint64_t cycle_limit)
-{
-    // No future event at all means the machine is deadlocked: jump to
-    // the limit so the stuck diagnostics fire exactly as dense
-    // stepping's would.
-    if (target > cycle_limit)
-        target = cycle_limit + 1;
-    CSIM_ASSERT(target > now_);
-    const std::uint64_t span = target - now_;
-
-    // Fold the per-cycle bookkeeping of `span` structurally identical
-    // idle cycles: the zero-available ILP bucket and whichever stall
-    // counter the first blocked stage would have bumped each cycle
-    // (mirroring doSteer's first-blocked-reason order and doFetch's
-    // stall accounting). Occupancy needs nothing here — it is folded
-    // at occupancy-change points, and a skipped span by construction
-    // contains none.
-    if (options_.collectIlp)
-        ilpCycles_[0] += span;
-
-    const std::uint64_t n = soa_.size();
-    if (steerIdx_ < n) {
-        const InstTiming &s = timing_[steerIdx_];
-        if (s.fetch != invalidCycle &&
-            s.fetch + config_.frontendDepth <= now_) {
-            if (steerIdx_ - commitIdx_ >= config_.robEntries)
-                *statRobFullCycles_ += span;
-            else if (freeWindowsTotal_ == 0)
-                *statAllWindowsFullCycles_ += span;
-        }
-    }
-    if (fetchStalled_)
-        *statFetchStallCycles_ += span;
-
-    now_ = target;
-    ++skipSpans_;
-    skipCycles_ += span;
-    if (now_ > cycle_limit)
-        stuckPanic();
-}
-
-void
 TimingSim::stuckPanic()
 {
     const std::uint64_t n = soa_.size();
@@ -662,7 +501,7 @@ TimingSim::stuckPanic()
     CSIM_PANIC("TimingSim: cycle limit exceeded (deadlock?)");
 }
 
-std::uint64_t
+void
 TimingSim::doIssue()
 {
     // Promote pending wakeups only on cycles where one is due; the
@@ -689,7 +528,7 @@ TimingSim::doIssue()
         // Nothing available anywhere: only the ILP accounting runs.
         if (options_.collectIlp)
             ++ilpCycles_[0];
-        return 0;
+        return;
     }
 
     std::uint64_t available_total = 0;
@@ -804,7 +643,6 @@ TimingSim::doIssue()
         ++ilpCycles_[bucket];
         ilpIssuedSum_[bucket] += issued_total;
     }
-    return issued_total;
 }
 
 void

@@ -74,15 +74,8 @@ struct SimOptions
 {
     /** Collect the per-cycle available/achieved ILP data (Fig. 15). */
     bool collectIlp = false;
-    /**
-     * Escape hatch: step every cycle densely instead of using the
-     * event-driven skip-ahead. Results are identical either way (the
-     * fuzzer's differential check enforces it); dense stepping is only
-     * useful as the reference half of that comparison and when
-     * bisecting a suspected skip-ahead bug. Runs with observers
-     * attached always step densely, because per-cycle hooks must fire
-     * on every cycle.
-     */
+    /** Has no effect: every run steps every cycle. Kept only because
+     *  the perfbench drivers still copy it. */
     bool legacyStep = false;
     /** Largest available-ILP bucket tracked. */
     unsigned ilpMaxAvailable = 64;
@@ -168,11 +161,9 @@ class TimingSim : public CoreView
     }
     Addr pcOf(InstId id) const override { return soaPc_[id]; }
 
-    /** Idle spans jumped over by the event-driven skip-ahead (0 when
-     *  the run stepped densely: legacyStep or observers attached). */
-    std::uint64_t skipSpans() const { return skipSpans_; }
-    /** Cycles those spans covered (their stats were folded in bulk). */
-    std::uint64_t skipCycles() const { return skipCycles_; }
+    /** Always 0: no cycle is skipped. Kept only because the perfbench
+     *  drivers still read it. */
+    std::uint64_t skipCycles() const { return 0; }
 
   private:
     TimingSim(const MachineConfig &config, const Trace *trace,
@@ -204,29 +195,10 @@ class TimingSim : public CoreView
      *  next boundary. */
     void closePhase(Cycle end_exclusive);
 
-    void runDense(std::uint64_t cycle_limit);
-    void runSkipAhead(std::uint64_t cycle_limit);
-    /** Returns the number of instructions issued this cycle (the
-     *  skip-ahead's quiet-cycle gate reads it; the stage cursors
-     *  expose every other kind of activity). */
-    std::uint64_t doIssue();
+    void doIssue();
     void doSteer();
     void doCommit();
     void doFetch();
-
-    /**
-     * The cycle skip-ahead may jump to from now_, or now_ itself when
-     * this cycle can do work (or consult the steering policy) and must
-     * be stepped densely. invalidCycle when no stage has any future
-     * event: the machine is deadlocked and skipTo clamps the jump to
-     * the cycle limit so the stuck panic reproduces exactly.
-     */
-    Cycle idleSkipTarget() const;
-
-    /** Jump now_ to `target`, folding the skipped span's per-cycle
-     *  stats (occupancy samples, ILP idle bucket, stall counters) in
-     *  one shot. */
-    void skipTo(Cycle target, std::uint64_t cycle_limit);
 
     [[noreturn]] void stuckPanic();
 
@@ -292,15 +264,15 @@ class TimingSim : public CoreView
      *  enter/exit so the steer stage never rescans the clusters. */
     unsigned freeWindowsTotal_ = 0;
 
-    /** One bit per cluster with a non-empty ready set. readyNow_ is
-     *  only mutated by doIssue, which keeps the mask exact. */
+    /** One bit per cluster with a non-empty ready set, so the issue
+     *  stage visits only those clusters. readyNow_ is only mutated by
+     *  doIssue, which keeps the mask exact. */
     std::uint16_t readyMask_ = 0;
     /**
      * Exact minimum of nextPendingCycle() across clusters: folded on
      * every markReady and recomputed by the promote scan (the only
-     * place pending entries are removed). Lets the issue stage and
-     * the idle probe skip the per-cluster scan on cycles with no
-     * wakeup due.
+     * place pending entries are removed). Lets the issue stage skip
+     * the per-cluster promote scan on cycles with no wakeup due.
      */
     Cycle nextPendingBound_ = invalidCycle;
 
@@ -331,9 +303,6 @@ class TimingSim : public CoreView
     std::uint8_t *pendingOps_ = nullptr;
     std::uint32_t waiterPoolCap_ = 0;
     std::uint32_t waiterPoolUsed_ = 0;
-
-    std::uint64_t skipSpans_ = 0;
-    std::uint64_t skipCycles_ = 0;
 
     // ----------------------------------------------------------------
     // Phase bookkeeping (see SimOptions::phases). An unphased run pays

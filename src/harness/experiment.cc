@@ -43,7 +43,6 @@ configDigest(const ExperimentConfig &cfg)
     os << ";warm=" << cfg.warmupRuns << ";chunk=" << cfg.trainChunk
        << ";stall=" << cfg.stallThreshold << ";loc=" << cfg.locLevels
        << ";sim=" << cfg.simOptions.collectIlp << ','
-       << cfg.simOptions.legacyStep << ','
        << cfg.simOptions.ilpMaxAvailable << ','
        << cfg.simOptions.maxCpi << ";phases=";
     for (const PhaseSpec &phase : cfg.simOptions.phases)
@@ -186,25 +185,40 @@ PolicyRun
 runPolicy(const Trace &trace, const MachineConfig &machine,
           PolicyKind kind, const ExperimentConfig &cfg)
 {
+    // --warmup reaches the phase quotas straight from the command
+    // line: an oversized one must stop here with a diagnostic, not at
+    // TimingSim's budget assert or as an empty measured phase (a NaN
+    // CPI). A to-trace-end quota (0) still needs one instruction.
+    std::uint64_t left = trace.size();
+    for (const PhaseSpec &phase : cfg.simOptions.phases) {
+        const std::uint64_t need =
+            std::max<std::uint64_t>(phase.instructions, 1);
+        if (need > left)
+            CSIM_FATAL_F("phase '%s' needs %llu instructions but only "
+                         "%llu of the %llu-instruction trace remain; "
+                         "shrink --warmup",
+                         phase.name.c_str(),
+                         static_cast<unsigned long long>(need),
+                         static_cast<unsigned long long>(left),
+                         static_cast<unsigned long long>(trace.size()));
+        left -= phase.instructions;
+    }
+
     PolicyStack stack = makeStack(trace, kind, cfg);
 
     // Warmup passes train the predictors across the whole trace.
-    // They honor the stepping-mode escape hatch so a --legacy-step
-    // run is dense end to end, but carry no observers or collection
-    // options: training must see the same machine either way. With
+    // They carry no observers or collection options: training must
+    // see the same machine whatever the measured run observes. With
     // phases configured the in-run warmup phase takes over this job
     // (training runs during the whole measured pass anyway), so the
     // discarded full passes — previously the dominant cost of a
     // warmed cell — are skipped entirely.
     if (stack.trainer && cfg.simOptions.phases.empty()) {
         HOST_PROF_SCOPE("harness.warmup");
-        SimOptions warm_options;
-        warm_options.legacyStep = cfg.simOptions.legacyStep;
         for (unsigned w = 0; w < cfg.warmupRuns; ++w) {
             stack.trainer->restart();
             TimingSim warm(machine, trace, *stack.steering,
-                           *stack.scheduling, stack.trainer.get(),
-                           warm_options);
+                           *stack.scheduling, stack.trainer.get());
             (void)warm.run();
         }
     }
@@ -236,8 +250,6 @@ runPolicy(const Trace &trace, const MachineConfig &machine,
                   stack.trainer.get(), sim_options);
     PolicyRun out;
     out.sim = sim.run();
-    out.skipSpans = sim.skipSpans();
-    out.skipCycles = sim.skipCycles();
     if (profiler) {
         out.intervals = profiler->takeSeries();
         if (cfg.profile.scoreCriticality)
@@ -443,17 +455,20 @@ runRegionSampledCell(const TraceSoA &soa, const MachineConfig &machine,
     // iff k * span <= n (then span <= floor(n / k) exactly). Anything
     // larger would silently overlap regions or degenerate the tail,
     // double-counting instructions in the merged phases.
-    if (cfg.regionWarmup + cfg.regionLen > n / k)
+    // Written so that no sum or product can wrap: both values come
+    // straight from the command line.
+    const std::uint64_t stride = n / k;
+    if (cfg.regionWarmup > stride ||
+        cfg.regionLen > stride - cfg.regionWarmup)
         CSIM_FATAL_F("region sampling: %llu regions x (%llu warmup + "
-                     "%llu measured) = %llu instructions exceed the "
-                     "%llu-instruction store; shrink --regions, "
-                     "--region-len or --warmup",
+                     "%llu measured) instructions exceed the "
+                     "%llu-instruction store (at most %llu per region); "
+                     "shrink --regions, --region-len or --warmup",
                      static_cast<unsigned long long>(k),
                      static_cast<unsigned long long>(cfg.regionWarmup),
                      static_cast<unsigned long long>(cfg.regionLen),
-                     static_cast<unsigned long long>(
-                         k * (cfg.regionWarmup + cfg.regionLen)),
-                     static_cast<unsigned long long>(n));
+                     static_cast<unsigned long long>(n),
+                     static_cast<unsigned long long>(stride));
 
     // The recursive per-region config: sampling off, phases on.
     ExperimentConfig rcfg = cfg;
@@ -465,7 +480,6 @@ runRegionSampledCell(const TraceSoA &soa, const MachineConfig &machine,
     rcfg.simOptions.phases.push_back(PhaseSpec{"measure", 0, false});
 
     const std::uint64_t span = cfg.regionWarmup + cfg.regionLen;
-    const std::uint64_t stride = n / k;
     AggregateResult agg;
     for (std::uint64_t r = 0; r < k; ++r) {
         // Evenly spaced starts; extractRegion clamps a tail region

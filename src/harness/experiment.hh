@@ -204,11 +204,6 @@ struct PolicyRun
     std::string checkerDetail;
     /** The measured run's interval series (cfg.profile.enabled). */
     IntervalSeries intervals;
-    /** Idle spans the measured run's skip-ahead jumped over (always 0
-     *  under --legacy-step or with observers attached). */
-    std::uint64_t skipSpans = 0;
-    /** Cycles those spans covered. */
-    std::uint64_t skipCycles = 0;
 };
 
 /**

@@ -86,8 +86,7 @@ usage(const std::string &benchmark, const char *bad_arg)
                  "[--trace-out <path>]\n"
                  "       [--ledger-out <path>] [--heartbeat-ms N]\n"
                  "       [--stats-filter p1,p2]\n"
-                 "       [--legacy-step] [--regions K] "
-                 "[--region-len N] [--warmup N]\n",
+                 "       [--regions K] [--region-len N] [--warmup N]\n",
                  benchmark.c_str());
     if (bad_arg)
         CSIM_FATAL_F("%s: unknown or incomplete argument '%s'",
@@ -153,8 +152,6 @@ BenchContext::BenchContext(std::string benchmark, int argc, char **argv)
             seeds_ = parseSeedList(benchmark_, next());
         } else if (arg == "--check") {
             check_ = true;
-        } else if (arg == "--legacy-step") {
-            legacyStep_ = true;
         } else if (arg == "--profile") {
             profile_ = true;
         } else if (arg == "--profile-interval") {
@@ -190,6 +187,9 @@ BenchContext::BenchContext(std::string benchmark, int argc, char **argv)
     }
     if (regions_ != 0 && regionLen_ == 0)
         CSIM_FATAL_F("%s: --regions requires --region-len",
+                     benchmark_.c_str());
+    if (regionLen_ != 0 && regions_ == 0)
+        CSIM_FATAL_F("%s: --region-len requires --regions",
                      benchmark_.c_str());
 
     // Strict env handling: a malformed CSIM_LOG is fatal, never a
@@ -250,8 +250,6 @@ BenchContext::apply(ExperimentConfig &cfg) const
         cfg.verify.checker = true;
         cfg.verify.oracle = true;
     }
-    if (legacyStep_)
-        cfg.simOptions.legacyStep = true;
     if (profile_) {
         cfg.profile.enabled = true;
         if (profileInterval_ != 0)
@@ -564,8 +562,8 @@ BenchContext::finish()
     // Process-wide host observability: nondeterministic wall times and
     // memory, so everything under "host" sits outside the report's
     // byte-identical region (validators and determinism checks strip
-    // it). Absent when host profiling is compiled out or disabled.
-    if (HostProf::compiledIn() && HostProf::enabled()) {
+    // it). Absent when host profiling is compiled out.
+    if (HostProf::compiledIn()) {
         const HostProfNode tree = HostProf::snapshot();
         const HostMemoryStats mem = sampleHostMemory();
         const std::uint64_t measured = measuredInstructions(tree);

@@ -7,7 +7,7 @@
  * `--seeds a,b,c`, `--threads N`, `--check`, `--profile`,
  * `--profile-interval N`, `--trace-out <path>`, `--ledger-out <path>`,
  * `--heartbeat-ms N`,
- * `--stats-filter p1,p2`, `--legacy-step`, `--regions K`,
+ * `--stats-filter p1,p2`, `--regions K`,
  * `--region-len N` and `--warmup N`, owns the sweep runner
  * + trace cache the
  * bench executes on, wires the run ledger + crash flight recorder
@@ -149,9 +149,7 @@ class BenchContext
      * additionally arms cfg.verify: every measured run gets a live
      * PipelineChecker + post-run audit and every policy cell is held
      * to the differential CPI oracles (fatal on violation).
-     * `--profile` arms cfg.profile the same way. `--legacy-step`
-     * forces dense cycle stepping (skip-ahead off) in every run,
-     * warmups included — results must be byte-identical either way.
+     * `--profile` arms cfg.profile the same way.
      */
     void apply(ExperimentConfig &cfg) const;
 
@@ -234,7 +232,6 @@ class BenchContext
     std::vector<std::uint64_t> seeds_;    ///< empty: keep bench default
     unsigned threadsArg_ = 0;             ///< 0: resolve automatically
     bool check_ = false;                  ///< --check: arm cfg.verify
-    bool legacyStep_ = false;             ///< --legacy-step: dense loop
     bool profile_ = false;                ///< --profile: arm cfg.profile
     std::uint64_t profileInterval_ = 0;   ///< 0: keep config default
     unsigned regions_ = 0;                ///< --regions: sampled regions

@@ -4,8 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -63,14 +61,6 @@ struct Globals
     std::vector<ThreadTree *> active;
     /** Merged trees of threads that already exited. */
     HostProfNode retired;
-    std::atomic<bool> enabled;
-
-    Globals()
-    {
-        const char *env = std::getenv("CSIM_HOST_PROF");
-        enabled.store(!(env && std::strcmp(env, "0") == 0),
-                      std::memory_order_relaxed);
-    }
 };
 
 Globals &
@@ -225,18 +215,6 @@ hostProfCanonical(const HostProfNode &root)
     return out;
 }
 
-bool
-HostProf::enabled()
-{
-    return globals().enabled.load(std::memory_order_relaxed);
-}
-
-void
-HostProf::setEnabled(bool on)
-{
-    globals().enabled.store(on, std::memory_order_relaxed);
-}
-
 void
 HostProf::reset()
 {
@@ -274,8 +252,6 @@ std::vector<std::string>
 HostProf::currentPath()
 {
     std::vector<std::string> path;
-    if (!enabled())
-        return path;
     const ThreadTree &tree = threadTree();
     for (const LiveNode *n = tree.current; n->parent; n = n->parent)
         path.push_back(n->name);
@@ -285,8 +261,6 @@ HostProf::currentPath()
 
 HostProfScope::HostProfScope(const char *name)
 {
-    if (!HostProf::enabled())
-        return;
     ThreadTree &tree = threadTree();
     LiveNode *node = descend(tree.current, name);
     tree.current = node;
@@ -296,8 +270,6 @@ HostProfScope::HostProfScope(const char *name)
 
 HostProfScope::~HostProfScope()
 {
-    if (!node_)
-        return;
     LiveNode *node = static_cast<LiveNode *>(node_);
     node->ns += nowNs() - startNs_;
     node->calls += 1;
@@ -307,7 +279,7 @@ HostProfScope::~HostProfScope()
 HostProfPathAdopter::HostProfPathAdopter(
     const std::vector<std::string> &path)
 {
-    if (!HostProf::enabled() || path.empty())
+    if (path.empty())
         return;
     ThreadTree &tree = threadTree();
     for (const std::string &name : path)
@@ -329,8 +301,6 @@ HostProfPathAdopter::~HostProfPathAdopter()
 void
 hostProfAddInstructions(std::uint64_t n)
 {
-    if (!HostProf::enabled())
-        return;
     threadTree().current->instructions += n;
 }
 

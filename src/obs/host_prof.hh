@@ -24,9 +24,7 @@
  * Cost model: a scope is one map descent + two steady_clock reads,
  * so scopes belong at phase boundaries (a trace build, a whole sim
  * run, a sweep merge), never inside per-cycle loops. Configure with
- * -DCSIM_ENABLE_HOST_PROF=OFF and the macros compile to nothing;
- * at runtime HostProf::setEnabled(false) (or CSIM_HOST_PROF=0 in the
- * environment) reduces a scope to one relaxed atomic load.
+ * -DCSIM_ENABLE_HOST_PROF=OFF and the macros compile to nothing.
  *
  * Threading discipline: snapshot() and reset() must run while no
  * other thread is inside a scope (e.g. after worker pools joined).
@@ -106,10 +104,6 @@ class HostProf
 #endif
     }
 
-    /** Runtime gate (default on; CSIM_HOST_PROF=0 disables). */
-    static bool enabled();
-    static void setEnabled(bool on);
-
     /** Drop all accumulated timing (threads must be quiescent). */
     static void reset();
 
@@ -122,7 +116,7 @@ class HostProf
     static HostProfNode snapshot();
 
     /** Scope-name path from the calling thread's root to its current
-     *  scope (empty at top level or when disabled). */
+     *  scope (empty at top level). */
     static std::vector<std::string> currentPath();
 };
 
@@ -141,7 +135,7 @@ class HostProfScope
     HostProfScope &operator=(const HostProfScope &) = delete;
 
   private:
-    void *node_ = nullptr; ///< live node; null when disabled
+    void *node_ = nullptr; ///< the node this scope opened
     std::uint64_t startNs_ = 0;
 };
 

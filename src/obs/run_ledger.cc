@@ -37,8 +37,7 @@ collectProvenance(const std::string &cmdline)
     // The fixed list of environment knobs the simulator honors; an
     // unset variable is omitted (set-to-empty is a real override).
     for (const char *name :
-         {"CSIM_HOST_PROF", "CSIM_LOG", "CSIM_STATS_FILTER",
-          "CSIM_THREADS"}) {
+         {"CSIM_LOG", "CSIM_STATS_FILTER", "CSIM_THREADS"}) {
         if (const char *value = std::getenv(name))
             prov.env.emplace_back(name, value);
     }

@@ -3,8 +3,8 @@
  * Host-side profiler tests: nested-scope tree shape and counters,
  * cross-thread merge determinism (1 vs 4 sweep worker threads must
  * render byte-identical canonical trees), the worker-pool path
- * adopter, the runtime disable gate, memory-sample monotonicity, and
- * the schema-v4 "host" blocks emitted through BenchContext.
+ * adopter, memory-sample monotonicity, and the schema-v4 "host"
+ * blocks emitted through BenchContext.
  */
 
 #include <gtest/gtest.h>
@@ -33,7 +33,6 @@ class HostProfTest : public ::testing::Test
     {
         if (!HostProf::compiledIn())
             GTEST_SKIP() << "built with CSIM_ENABLE_HOST_PROF=OFF";
-        HostProf::setEnabled(true);
         HostProf::reset();
     }
 
@@ -187,21 +186,6 @@ TEST_F(HostProfTest, ChildSumInvariantHoldsEverywhereAfterSweep)
     EXPECT_GT(visited, 5u);
 }
 
-TEST_F(HostProfTest, RuntimeDisableRecordsNothing)
-{
-    HostProf::setEnabled(false);
-    {
-        HOST_PROF_SCOPE("invisible");
-        HOST_PROF_INSTRUCTIONS(1000);
-        EXPECT_TRUE(HostProf::currentPath().empty());
-    }
-    HostProf::setEnabled(true);
-
-    const HostProfNode root = HostProf::snapshot();
-    EXPECT_TRUE(root.children.empty());
-    EXPECT_EQ(root.totalInstructions(), 0u);
-}
-
 TEST_F(HostProfTest, ResetDropsAccumulatedTime)
 {
     {
@@ -236,7 +220,6 @@ TEST(HostProfJson, SchemaV5RoundTripCarriesHostBlocks)
 {
     if (!HostProf::compiledIn())
         GTEST_SKIP() << "built with CSIM_ENABLE_HOST_PROF=OFF";
-    HostProf::setEnabled(true);
     HostProf::reset();
     {
         HOST_PROF_SCOPE("sim.run");
@@ -279,30 +262,6 @@ TEST(HostProfJson, SchemaV5RoundTripCarriesHostBlocks)
     EXPECT_NE(json.find("\"name\":\"sim.run\""), std::string::npos);
     EXPECT_NE(json.find("\"heapHighWaterBytes\""), std::string::npos);
     HostProf::reset();
-}
-
-TEST(HostProfJson, DisabledProfilerOmitsTopLevelHostBlock)
-{
-    HostProf::setEnabled(false);
-
-    const std::string path = "test_host_prof_disabled.json";
-    {
-        const char *argv[] = {"bench", "--json", path.c_str()};
-        BenchContext ctx("test_host_prof_bench", 3,
-                         const_cast<char **>(argv));
-        EXPECT_EQ(ctx.finish(), 0);
-    }
-    HostProf::setEnabled(true);
-
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const std::string json = ss.str();
-    std::remove(path.c_str());
-
-    EXPECT_EQ(json.find("\"timerTree\""), std::string::npos);
-    EXPECT_EQ(json.find("\"host\""), std::string::npos);
 }
 
 TEST(HostProfJsonDeathTest, UnknownRunLabelIsFatal)

@@ -637,6 +637,37 @@ TEST(BenchContextDeathTest, UnknownFlagIsFatal)
     const char *bogus[] = {"bench", "--bogus"};
     EXPECT_DEATH(BenchContext("bench", 2, const_cast<char **>(bogus)),
                  "unknown or incomplete argument '--bogus'");
+    const char *legacy[] = {"bench", "--legacy-step"};
+    EXPECT_DEATH(BenchContext("bench", 2, const_cast<char **>(legacy)),
+                 "unknown or incomplete argument '--legacy-step'");
+}
+
+TEST(BenchContextDeathTest, RegionLenWithoutRegionsIsFatal)
+{
+    const char *argv[] = {"bench", "--region-len", "100"};
+    EXPECT_EXIT(BenchContext("bench", 3, const_cast<char **>(argv)),
+                ::testing::ExitedWithCode(1),
+                "--region-len requires --regions");
+}
+
+TEST(BenchContextDeathTest, WarmupNotShorterThanTraceIsFatal)
+{
+    // A CLI value must stop in the harness with a diagnostic, never
+    // reach the timing core's phase-budget assert (an abort) or leave
+    // an empty measured phase (a NaN CPI at exit 0). The traces hold
+    // at most --instructions instructions.
+    for (const char *warmup : {"5000", "2000"}) {
+        const char *argv[] = {"bench", "--instructions", "2000",
+                              "--seeds", "1", "--threads", "1",
+                              "--warmup", warmup};
+        BenchContext ctx("bench", 9, const_cast<char **>(argv));
+        SweepSpec spec = smallSpec();
+        ctx.apply(spec.cfg);
+        EXPECT_EXIT(ctx.runner().run(spec), ::testing::ExitedWithCode(1),
+                    "fatal: phase '.*' needs .* instructions .*"
+                    "-instruction trace .*--warmup")
+            << warmup;
+    }
 }
 
 TEST(BenchContextLedger, EndToEndLedgerAndProvenance)

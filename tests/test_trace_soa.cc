@@ -1,10 +1,9 @@
 /**
  * @file
- * Tests for the structure-of-arrays trace view and the event-driven
- * skip-ahead that consumes it: AoS <-> SoA round-trips over every
- * registered workload, footprint accounting, and skip-vs-dense
- * equality on synthetic sparse traces where the skip path must
- * actually engage.
+ * Tests for the structure-of-arrays trace view and the timing core
+ * that consumes it: AoS <-> SoA round-trips over every registered
+ * workload, footprint accounting, and exact timing on synthetic
+ * sparse traces where the machine sits idle between wakeups.
  */
 
 #include <gtest/gtest.h>
@@ -128,7 +127,7 @@ TEST(TraceSoA, FootprintCountsRecordsAndArena)
 
 /** A serial dependence chain of uniformly long-latency instructions:
  *  between one completion and the next wakeup the machine is fully
- *  idle, so the event-driven core must skip, not step. */
+ *  idle for lat - 1 cycles. */
 Trace
 sparseSerialChain(unsigned length, std::uint8_t lat)
 {
@@ -147,72 +146,39 @@ sparseSerialChain(unsigned length, std::uint8_t lat)
     return t;
 }
 
+/** Simulate the chain and check every invariant plus the cycle count. */
 void
-expectTimingEq(const SimResult &skip, const SimResult &dense)
+checkSparseChain(const Trace &trace, const MachineConfig &config,
+                 Cycle expected_cycles)
 {
-    ASSERT_EQ(skip.cycles, dense.cycles);
-    ASSERT_EQ(skip.instructions, dense.instructions);
-    ASSERT_EQ(skip.timing.size(), dense.timing.size());
-    for (std::size_t i = 0; i < skip.timing.size(); ++i) {
-        SCOPED_TRACE("instruction " + std::to_string(i));
-        const InstTiming &s = skip.timing[i];
-        const InstTiming &d = dense.timing[i];
-        EXPECT_EQ(s.fetch, d.fetch);
-        EXPECT_EQ(s.dispatch, d.dispatch);
-        EXPECT_EQ(s.ready, d.ready);
-        EXPECT_EQ(s.issue, d.issue);
-        EXPECT_EQ(s.complete, d.complete);
-        EXPECT_EQ(s.commit, d.commit);
-        EXPECT_EQ(s.cluster, d.cluster);
-        EXPECT_EQ(s.reason, d.reason);
-        EXPECT_EQ(s.crossMask, d.crossMask);
-    }
+    UnifiedSteering steer(UnifiedSteeringOptions{}, nullptr, nullptr);
+    AgeScheduling sched;
+    const SimResult res =
+        TimingSim(config, trace, steer, sched).run();
+    validateTiming(trace, res, config);
+    EXPECT_EQ(res.instructions, trace.size());
+    EXPECT_EQ(res.cycles, expected_cycles);
 }
 
-void
-checkSkipMatchesDense(const Trace &trace, const MachineConfig &config)
+TEST(SparseChain, MonolithicCycleCount)
 {
-    UnifiedSteering skip_steer(UnifiedSteeringOptions{}, nullptr,
-                               nullptr);
-    AgeScheduling skip_sched;
-    TimingSim skip_sim(config, trace, skip_steer, skip_sched);
-    const SimResult skip = skip_sim.run();
-    // The whole point of the sparse chain: the skip path must engage.
-    EXPECT_GT(skip_sim.skipCycles(), 0u);
-    EXPECT_GT(skip_sim.skipSpans(), 0u);
-
-    SimOptions dense_options;
-    dense_options.legacyStep = true;
-    UnifiedSteering dense_steer(UnifiedSteeringOptions{}, nullptr,
-                                nullptr);
-    AgeScheduling dense_sched;
-    TimingSim dense_sim(config, trace, dense_steer, dense_sched,
-                        nullptr, dense_options);
-    const SimResult dense = dense_sim.run();
-    EXPECT_EQ(dense_sim.skipCycles(), 0u);
-    EXPECT_EQ(dense_sim.skipSpans(), 0u);
-
-    expectTimingEq(skip, dense);
-    validateTiming(trace, skip, config);
+    // 200 x 20 cycles of serial execution plus front-end fill and
+    // the final commit.
+    const Trace trace = sparseSerialChain(200, 20);
+    checkSparseChain(trace, MachineConfig::monolithic(), 4016);
 }
 
-TEST(SkipAhead, MatchesDenseOnSparseChainMonolithic)
+TEST(SparseChain, ClusteredCycleCount)
 {
     const Trace trace = sparseSerialChain(200, 20);
-    checkSkipMatchesDense(trace, MachineConfig::monolithic());
+    checkSparseChain(trace, MachineConfig::clustered(4), 4028);
 }
 
-TEST(SkipAhead, MatchesDenseOnSparseChainClustered)
-{
-    const Trace trace = sparseSerialChain(200, 20);
-    checkSkipMatchesDense(trace, MachineConfig::clustered(4));
-}
-
-TEST(SkipAhead, MatchesDenseOnMaxLatencyChain)
+TEST(SparseChain, MaxLatencyChainCycleCount)
 {
     // The widest idle gap a single dependence edge can produce.
     const Trace trace = sparseSerialChain(64, 255);
-    checkSkipMatchesDense(trace, MachineConfig::clustered(8));
+    checkSparseChain(trace, MachineConfig::clustered(8), 16342);
 }
 
 } // anonymous namespace

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -399,18 +400,25 @@ TEST(TraceStoreRegionsDeath, RegionBudgetExceedingStoreIsFatal)
     // 4 x (200 + 1900) = 8400 > 8000: evenly spaced starts at stride
     // 2000 would overlap every adjacent region and double-count the
     // overlap in the merged phases. Must be a clean fatal, not a
-    // silent wrong answer.
+    // silent wrong answer. The second pair sums to 2^64, which wraps
+    // to 0 in a naive warmup + len check.
     const Trace trace = smallTrace("gzip", 8000, 3);
     const TraceSoA soa(trace);
-    ExperimentConfig cfg;
-    cfg.instructions = trace.size();
-    cfg.regions = 4;
-    cfg.regionLen = 1900;
-    cfg.regionWarmup = 200;
-    EXPECT_EXIT(runRegionSampledCell(soa, MachineConfig::clustered(4),
-                                     PolicyKind::Focused, cfg),
-                ::testing::ExitedWithCode(1),
-                "fatal: region sampling: .*exceed");
+    const std::pair<std::uint64_t, std::uint64_t> pairs[] = {
+        {200, 1900}, {UINT64_MAX, 1}};
+    for (const auto &[warmup, len] : pairs) {
+        ExperimentConfig cfg;
+        cfg.instructions = trace.size();
+        cfg.regions = 4;
+        cfg.regionLen = len;
+        cfg.regionWarmup = warmup;
+        EXPECT_EXIT(runRegionSampledCell(soa,
+                                         MachineConfig::clustered(4),
+                                         PolicyKind::Focused, cfg),
+                    ::testing::ExitedWithCode(1),
+                    "fatal: region sampling: .*exceed")
+            << warmup << " + " << len;
+    }
 }
 
 TEST(TraceStoreRegionsDeath, RegionCountExceedingStoreIsFatal)

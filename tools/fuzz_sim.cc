@@ -11,11 +11,10 @@
  *   - the structural floor (CPI >= 1 / narrowest stage width),
  *   - for clustered geometries, the monolithic envelope: the same
  *     policy on one cluster owning the summed resources with free
- *     bypass can never lose to the clustered machine, and
- *   - the stepping differential: a bare run on the event-driven
- *     skip-ahead core must match the same case stepped densely in
- *     every observable — cycle count, every timing record and every
- *     registered stat.
+ *     bypass can never lose to the clustered machine.
+ *
+ * Each case also round-trips its trace through the columnar store and
+ * must replay byte for byte.
  *
  * (The ideal list-scheduler bound is NOT applied here: its reference
  * schedule assumes the paper's Table-1 front end, which random
@@ -135,110 +134,6 @@ describeCase(const MachineConfig &config, PolicyKind kind,
         config.frontendDepth, config.fwdLatency,
         config.fetchStopAtTaken ? 1 : 0, policyName(kind),
         static_cast<unsigned long long>(instructions));
-}
-
-/** Cycles the skip-ahead jumped over, summed over the whole batch.
- *  Random traces always contain idle spans somewhere, so a batch in
- *  which the skip path never engaged means it is broken (or silently
- *  disabled) and the differential below proved nothing. */
-std::uint64_t batchSkipCycles = 0;
-
-/** Compare one InstTiming field across the two stepping modes. */
-template <typename T>
-bool
-timingFieldDiffers(const char *name, T skip, T dense, InstId id,
-                   std::string &detail)
-{
-    if (skip == dense)
-        return false;
-    detail = "skip-vs-dense: inst " + std::to_string(id) + " " +
-        name + " " + std::to_string(static_cast<long long>(skip)) +
-        " != " + std::to_string(static_cast<long long>(dense));
-    return true;
-}
-
-/**
- * Returns "" when the event-driven run and the dense run agree on
- * every observable, else the first mismatch. Both runs are bare (no
- * checker, no profiler) so the skip path actually engages.
- */
-std::string
-checkSteppingDifferential(const Trace &trace,
-                          const MachineConfig &config, PolicyKind kind,
-                          ExperimentConfig cfg)
-{
-    cfg.verify = VerifyConfig{};
-    cfg.profile = ProfileConfig{};
-    cfg.simOptions.legacyStep = false;
-    const PolicyRun skip = runPolicy(trace, config, kind, cfg);
-    cfg.simOptions.legacyStep = true;
-    const PolicyRun dense = runPolicy(trace, config, kind, cfg);
-
-    if (dense.skipCycles != 0 || dense.skipSpans != 0)
-        return "skip-vs-dense: --legacy-step run reported skipped "
-               "cycles";
-    batchSkipCycles += skip.skipCycles;
-
-    if (skip.sim.cycles != dense.sim.cycles)
-        return "skip-vs-dense: cycles " +
-            std::to_string(skip.sim.cycles) + " != " +
-            std::to_string(dense.sim.cycles);
-    if (skip.sim.instructions != dense.sim.instructions)
-        return "skip-vs-dense: instructions " +
-            std::to_string(skip.sim.instructions) + " != " +
-            std::to_string(dense.sim.instructions);
-
-    if (skip.sim.timing.size() != dense.sim.timing.size())
-        return "skip-vs-dense: timing record counts differ";
-    for (InstId id = 0; id < skip.sim.timing.size(); ++id) {
-        const InstTiming &s = skip.sim.timing[id];
-        const InstTiming &d = dense.sim.timing[id];
-        std::string detail;
-        if (timingFieldDiffers("fetch", s.fetch, d.fetch, id, detail) ||
-            timingFieldDiffers("dispatch", s.dispatch, d.dispatch, id,
-                               detail) ||
-            timingFieldDiffers("ready", s.ready, d.ready, id, detail) ||
-            timingFieldDiffers("issue", s.issue, d.issue, id, detail) ||
-            timingFieldDiffers("complete", s.complete, d.complete, id,
-                               detail) ||
-            timingFieldDiffers("commit", s.commit, d.commit, id,
-                               detail) ||
-            timingFieldDiffers("cluster", s.cluster, d.cluster, id,
-                               detail) ||
-            timingFieldDiffers("desired", s.desired, d.desired, id,
-                               detail) ||
-            timingFieldDiffers("reason",
-                               static_cast<unsigned>(s.reason),
-                               static_cast<unsigned>(d.reason), id,
-                               detail) ||
-            timingFieldDiffers("predictedCritical",
-                               s.predictedCritical,
-                               d.predictedCritical, id, detail) ||
-            timingFieldDiffers("locLevel", s.locLevel, d.locLevel, id,
-                               detail) ||
-            timingFieldDiffers("dyadicSplit", s.dyadicSplit,
-                               d.dyadicSplit, id, detail) ||
-            timingFieldDiffers("crossMask", s.crossMask, d.crossMask,
-                               id, detail))
-            return detail;
-    }
-
-    const auto &se = skip.sim.stats.entries();
-    const auto &de = dense.sim.stats.entries();
-    if (se.size() != de.size())
-        return "skip-vs-dense: stat counts differ";
-    for (std::size_t i = 0; i < se.size(); ++i) {
-        if (se[i].first != de[i].first)
-            return "skip-vs-dense: stat order differs at '" +
-                se[i].first + "'";
-        const StatValue &sv = se[i].second;
-        const StatValue &dv = de[i].second;
-        if (sv.value != dv.value || sv.buckets != dv.buckets)
-            return "skip-vs-dense: stat '" + se[i].first +
-                "' differs: " + std::to_string(sv.value) + " != " +
-                std::to_string(dv.value);
-    }
-    return "";
 }
 
 /** "" when two snapshots agree bit for bit, else the first mismatch. */
@@ -377,13 +272,6 @@ runCase(std::uint64_t seed, const FuzzArgs &args)
         }
     }
 
-    const std::string step_diff =
-        checkSteppingDifferential(trace, config, kind, cfg);
-    if (!step_diff.empty()) {
-        describeCase(config, kind, trace.size());
-        return step_diff;
-    }
-
     cfg.verify.checker = true;
     cfg.verify.panicOnViolation = false;
     const std::string store_diff =
@@ -419,19 +307,11 @@ main(int argc, char **argv)
             return 1;
         }
     }
-    if (args.numSeeds > 1 && batchSkipCycles == 0) {
-        std::fprintf(stderr,
-                     "fuzz_sim: FAIL skip-ahead never engaged across "
-                     "the whole batch -- the stepping differential "
-                     "compared dense against dense\n");
-        return 1;
-    }
     std::fprintf(stderr,
                  "fuzz_sim: %llu seeds clean (start %llu, %llu insts "
-                 "each, %llu cycles skipped ahead)\n",
+                 "each)\n",
                  static_cast<unsigned long long>(args.numSeeds),
                  static_cast<unsigned long long>(args.startSeed),
-                 static_cast<unsigned long long>(args.instructions),
-                 static_cast<unsigned long long>(batchSkipCycles));
+                 static_cast<unsigned long long>(args.instructions));
     return 0;
 }
