@@ -46,8 +46,8 @@ class CoreView
     /**
      * Static address of any dynamic instruction. Prefer this over
      * record(id).pc when the pc is all you need: the timing core
-     * serves it from a dense SoA column instead of dragging a whole
-     * 64-byte AoS record through the cache.
+     * serves it from the pc column instead of reassembling a whole
+     * record from twelve columns.
      */
     virtual Addr pcOf(InstId id) const { return record(id).pc; }
 };

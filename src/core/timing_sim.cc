@@ -50,8 +50,8 @@ TimingSim::TimingSim(const MachineConfig &config, const Trace &trace,
                      SteeringPolicy &steering,
                      SchedulingPolicy &scheduling,
                      CommitListener *listener, SimOptions options)
-    : TimingSim(config, &trace, trace.soa(), steering, scheduling,
-                listener, std::move(options))
+    : TimingSim(config, trace.soa(), steering, scheduling, listener,
+                std::move(options))
 {
 }
 
@@ -59,18 +59,8 @@ TimingSim::TimingSim(const MachineConfig &config, const TraceSoA &soa,
                      SteeringPolicy &steering,
                      SchedulingPolicy &scheduling,
                      CommitListener *listener, SimOptions options)
-    : TimingSim(config, nullptr, soa, steering, scheduling, listener,
-                std::move(options))
-{
-}
-
-TimingSim::TimingSim(const MachineConfig &config, const Trace *trace,
-                     const TraceSoA &soa, SteeringPolicy &steering,
-                     SchedulingPolicy &scheduling,
-                     CommitListener *listener, SimOptions options)
-    : config_(config), trace_(trace), soa_(soa),
-      steering_(steering), scheduling_(scheduling),
-      listener_(listener), options_(options)
+    : config_(config), soa_(soa), steering_(steering),
+      scheduling_(scheduling), listener_(listener), options_(options)
 {
     config.validate();
     // Larger traces would overflow the id bits of the priority keys
@@ -657,12 +647,12 @@ TimingSim::doCommit()
         t.commit = now_;
         for (SimObserver *obs : observers_)
             obs->onCommit(*this, commitIdx_);
+        const TraceRecord rec = soa_.record(commitIdx_);
         if (options_.pipeTracer)
-            options_.pipeTracer->onRetire(commitIdx_,
-                                          recordAt(commitIdx_), t);
+            options_.pipeTracer->onRetire(commitIdx_, rec, t);
         if (listener_)
             listener_->onCommit(*this, commitIdx_);
-        steering_.notifyCommit(*this, commitIdx_, recordAt(commitIdx_));
+        steering_.notifyCommit(*this, commitIdx_, rec);
         ++commitIdx_;
         ++committed;
         if (commitIdx_ == nextPhaseBoundary_)
@@ -696,7 +686,7 @@ TimingSim::doSteer()
             break;  // every window full: structural stall
         }
 
-        const TraceRecord &rec = recordAt(id);
+        const TraceRecord rec = soa_.record(id);
         SteerRequest req{id, &rec};
         SteerDecision d = steering_.steer(*this, req);
         if (d.stall) {
@@ -803,9 +793,9 @@ TimingSim::doFetch()
     const std::uint64_t fetch_bound = fetchBound();
 
     constexpr std::uint8_t mispredictedCond =
-        TraceSoA::flagIsCondBranch | TraceSoA::flagMispredicted;
+        flagIsCondBranch | flagMispredicted;
     constexpr std::uint8_t takenBranch =
-        TraceSoA::flagIsBranch | TraceSoA::flagTaken;
+        flagIsBranch | flagTaken;
 
     unsigned fetched = 0;
     while (fetched < config_.fetchWidth && fetchIdx_ < n &&

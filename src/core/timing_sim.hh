@@ -119,7 +119,8 @@ class TimingSim : public CoreView
   public:
     /**
      * @param config Machine geometry.
-     * @param trace Annotated, producer-linked dynamic trace.
+     * @param trace Annotated, producer-linked dynamic trace; must
+     *        outlive the simulation and stay unmodified.
      * @param steering Cluster-assignment policy.
      * @param scheduling Issue-priority policy.
      * @param listener Optional commit observer (predictor training).
@@ -131,8 +132,7 @@ class TimingSim : public CoreView
 
     /**
      * Simulate straight off a column view (e.g. an mmap-ed trace
-     * store) with no AoS trace behind it: record() reassembles
-     * requested records from the columns on demand. The view must
+     * store). The view is copied; the columns it points at must
      * outlive the simulation.
      */
     TimingSim(const MachineConfig &config, const TraceSoA &soa,
@@ -151,9 +151,12 @@ class TimingSim : public CoreView
     bool inFlight(InstId id) const override;
     bool completed(InstId id) const override;
     ClusterId clusterOf(InstId id) const override;
+    /** Reassembled from the columns into one scratch slot: valid
+     *  until the next call. */
     const TraceRecord &record(InstId id) const override
     {
-        return recordAt(id);
+        scratchRecord_ = soa_.record(id);
+        return scratchRecord_;
     }
     const InstTiming &timingOf(InstId id) const override
     {
@@ -166,26 +169,6 @@ class TimingSim : public CoreView
     std::uint64_t skipCycles() const { return 0; }
 
   private:
-    TimingSim(const MachineConfig &config, const Trace *trace,
-              const TraceSoA &soa, SteeringPolicy &steering,
-              SchedulingPolicy &scheduling, CommitListener *listener,
-              SimOptions options);
-
-    /**
-     * One AoS record. Backed by the source trace when there is one;
-     * otherwise reassembled from the columns into a single scratch
-     * slot, so the returned reference is only valid until the next
-     * call (matching how every caller uses it: read, then drop).
-     */
-    const TraceRecord &
-    recordAt(InstId id) const
-    {
-        if (trace_)
-            return (*trace_)[id];
-        scratchRecord_ = soa_.record(id);
-        return scratchRecord_;
-    }
-
     /** Validate options_.phases against the trace and arm the first
      *  boundary. */
     void initPhases();
@@ -226,12 +209,9 @@ class TimingSim : public CoreView
 
     /** Stored by value so callers may pass temporaries. */
     const MachineConfig config_;
-    /** The source AoS trace, or null when simulating a bare column
-     *  view (an mmap-ed store); must outlive the simulation. */
-    const Trace *trace_;
-    /** Column view (of trace_, or standalone when trace_ is null). */
-    const TraceSoA &soa_;
-    /** recordAt() reassembly slot for the column-view-only case. */
+    /** The trace's columns (a Trace's own, or an mmap-ed store). */
+    const TraceSoA soa_;
+    /** record() reassembly slot. */
     mutable TraceRecord scratchRecord_;
     SteeringPolicy &steering_;
     SchedulingPolicy &scheduling_;

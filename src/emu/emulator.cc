@@ -4,6 +4,25 @@
 
 namespace csim {
 
+namespace {
+
+// Guest integer arithmetic wraps modulo 2^64 like the hardware's;
+// signed overflow is undefined in C++, so it is done on the unsigned
+// bit patterns and converted back (modular since C++20).
+std::uint64_t
+bits(std::int64_t v)
+{
+    return static_cast<std::uint64_t>(v);
+}
+
+std::int64_t
+wrapping(std::uint64_t v)
+{
+    return static_cast<std::int64_t>(v);
+}
+
+} // anonymous namespace
+
 Emulator::Emulator(const Program &prog)
     : prog_(prog)
 {
@@ -94,10 +113,14 @@ Emulator::runChunk(Trace &out, std::uint64_t maxInstrs)
 
         switch (inst.op) {
           case Opcode::Add:
-            writeInt(inst.dest, readInt(inst.src1) + readInt(inst.src2));
+            writeInt(inst.dest,
+                     wrapping(bits(readInt(inst.src1)) +
+                              bits(readInt(inst.src2))));
             break;
           case Opcode::Sub:
-            writeInt(inst.dest, readInt(inst.src1) - readInt(inst.src2));
+            writeInt(inst.dest,
+                     wrapping(bits(readInt(inst.src1)) -
+                              bits(readInt(inst.src2))));
             break;
           case Opcode::And:
             writeInt(inst.dest, readInt(inst.src1) & readInt(inst.src2));
@@ -130,10 +153,13 @@ Emulator::runChunk(Trace &out, std::uint64_t maxInstrs)
                      readInt(inst.src1) <= readInt(inst.src2) ? 1 : 0);
             break;
           case Opcode::Mul:
-            writeInt(inst.dest, readInt(inst.src1) * readInt(inst.src2));
+            writeInt(inst.dest,
+                     wrapping(bits(readInt(inst.src1)) *
+                              bits(readInt(inst.src2))));
             break;
           case Opcode::Addi:
-            writeInt(inst.dest, readInt(inst.src1) + inst.imm);
+            writeInt(inst.dest,
+                     wrapping(bits(readInt(inst.src1)) + bits(inst.imm)));
             break;
           case Opcode::Lui:
             writeInt(inst.dest, inst.imm);
@@ -159,15 +185,13 @@ Emulator::runChunk(Trace &out, std::uint64_t maxInstrs)
                     readFp(inst.src1) < readFp(inst.src2) ? 1.0 : 0.0);
             break;
           case Opcode::Ld: {
-            Addr ea = static_cast<Addr>(
-                readInt(inst.src1) + inst.imm);
+            const Addr ea = bits(readInt(inst.src1)) + bits(inst.imm);
             rec.memAddr = ea;
             writeInt(inst.dest, mem_.read(ea));
             break;
           }
           case Opcode::St: {
-            Addr ea = static_cast<Addr>(
-                readInt(inst.src1) + inst.imm);
+            const Addr ea = bits(readInt(inst.src1)) + bits(inst.imm);
             rec.memAddr = ea;
             mem_.write(ea, readInt(inst.src2));
             break;

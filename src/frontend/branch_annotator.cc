@@ -16,14 +16,15 @@ annotateBranches(Trace &trace, GsharePredictor &pred)
 {
     BranchAnnotateResult res;
     for (std::size_t i = 0; i < trace.size(); ++i) {
-        TraceRecord &rec = trace[i];
+        const TraceRecord rec = trace[i];
         if (!rec.isCondBranch) {
-            rec.mispredicted = false;
+            trace.setMispredicted(i, false);
             continue;
         }
         ++res.condBranches;
-        rec.mispredicted = pred.mispredicts(rec.pc, rec.taken);
-        if (rec.mispredicted)
+        const bool miss = pred.mispredicts(rec.pc, rec.taken);
+        trace.setMispredicted(i, miss);
+        if (miss)
             ++res.mispredictions;
     }
     return res;

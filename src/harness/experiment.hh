@@ -227,7 +227,7 @@ AggregateResult runPolicyCell(const Trace &trace,
 /**
  * Region-sampled cell evaluation straight off a column view (e.g. an
  * mmap-ed trace store; cfg.regions must be set). Only the sampled
- * regions are materialized as AoS traces, so peak RSS stays
+ * regions are copied into standalone traces, so peak RSS stays
  * O(regions x region span) — for a 10M-instruction store mapped from
  * disk, only the sampled pages are ever touched. Region results merge
  * in region order, so the outcome is thread-count invariant. A region

@@ -8,7 +8,6 @@
 #include "common/fnv.hh"
 #include "common/logging.hh"
 #include "obs/host_prof.hh"
-#include "trace/trace_soa.hh"
 
 namespace csim {
 
@@ -130,13 +129,8 @@ TraceCache::get(const std::string &workload, const WorkloadConfig &cfg,
     std::shared_ptr<const Trace> trace;
     {
         HOST_PROF_SCOPE("traceCache.build");
-        trace = buildSharedAnnotatedTrace(workload, cfg, mem,
-                                          gshare_bits);
-        // Materialise the column view while the trace is still ours
-        // alone: every sim run will want it, and building it here
-        // keeps the cost inside the build scope instead of racing the
-        // first consumers for the lazy-init mutex.
-        (void)trace->soa();
+        trace = std::make_shared<const Trace>(
+            buildAnnotatedTrace(workload, cfg, mem, gshare_bits));
     }
     const std::uint64_t build_ns = wallNs() - build_start;
     promise.set_value(trace);

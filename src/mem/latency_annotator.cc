@@ -17,13 +17,13 @@ annotateMemory(Trace &trace, Cache &l1, const MemoryModelConfig &config)
     MemAnnotateResult res;
 
     for (std::size_t i = 0; i < trace.size(); ++i) {
-        TraceRecord &rec = trace[i];
+        const TraceRecord rec = trace[i];
         if (rec.isLoad()) {
             bool hit = l1.access(rec.memAddr);
-            rec.l1Miss = !hit;
+            trace.setL1Miss(i, !hit);
             unsigned lat = config.loadToUse + (hit ? 0 : config.l2Latency);
             CSIM_ASSERT(lat <= 255);
-            rec.execLat = static_cast<std::uint8_t>(lat);
+            trace.setExecLat(i, static_cast<std::uint8_t>(lat));
             if (!hit)
                 ++res.loadMisses;
         } else if (rec.isStore()) {

@@ -7,66 +7,120 @@
 
 namespace csim {
 
-// Out of line: TraceSoA is incomplete where the header declares the
-// unique_ptr member.
-Trace::Trace() = default;
-Trace::~Trace() = default;
+namespace {
 
-Trace::Trace(const Trace &other) : records_(other.records_) {}
-
-Trace::Trace(Trace &&other) noexcept
-    : records_(std::move(other.records_))
-{}
-
-Trace &
-Trace::operator=(const Trace &other)
+std::uint8_t
+packFlags(const TraceRecord &rec)
 {
-    if (this != &other) {
-        records_ = other.records_;
-        invalidateSoA();
-    }
-    return *this;
+    std::uint8_t f = 0;
+    if (rec.isBranch)
+        f |= flagIsBranch;
+    if (rec.isCondBranch)
+        f |= flagIsCondBranch;
+    if (rec.taken)
+        f |= flagTaken;
+    if (rec.mispredicted)
+        f |= flagMispredicted;
+    if (rec.l1Miss)
+        f |= flagL1Miss;
+    if (rec.hasDest())
+        f |= flagHasDest;
+    return f;
 }
 
-Trace &
-Trace::operator=(Trace &&other) noexcept
-{
-    if (this != &other) {
-        records_ = std::move(other.records_);
-        invalidateSoA();
-    }
-    return *this;
-}
+} // anonymous namespace
 
-const TraceSoA &
-Trace::soa() const
+void
+Trace::reserve(std::size_t n)
 {
-    std::lock_guard<std::mutex> lock(soaMutex_);
-    if (!soa_)
-        soa_ = std::make_unique<TraceSoA>(*this);
-    return *soa_;
-}
-
-std::size_t
-Trace::footprintBytes() const
-{
-    std::lock_guard<std::mutex> lock(soaMutex_);
-    return records_.size() * sizeof(TraceRecord) +
-        (soa_ ? soa_->arenaBytes() : 0);
+    pc_.reserve(n);
+    memAddr_.reserve(n);
+    for (auto &col : prod_)
+        col.reserve(n);
+    op_.reserve(n);
+    cls_.reserve(n);
+    execLat_.reserve(n);
+    flags_.reserve(n);
+    dest_.reserve(n);
+    src1_.reserve(n);
+    src2_.reserve(n);
 }
 
 void
-Trace::invalidateSoA()
+Trace::append(const TraceRecord &rec)
 {
-    // Mutation requires exclusive access to the trace (concurrent
-    // readers of a trace being appended to are already a data race on
-    // records_), so the unlocked empty check cannot miss a concurrent
-    // build. It keeps the hot build loop — one call per appended or
-    // annotated record — from taking the mutex 3x per instruction.
-    if (!soa_)
-        return;
-    std::lock_guard<std::mutex> lock(soaMutex_);
-    soa_.reset();
+    pc_.push_back(rec.pc);
+    memAddr_.push_back(rec.memAddr);
+    for (int slot = 0; slot < numSrcSlots; ++slot) {
+        prod_[slot].push_back(rec.prod[slot]);
+        producerLinks_ += rec.prod[slot] != invalidInstId;
+    }
+    op_.push_back(rec.op);
+    cls_.push_back(rec.cls);
+    execLat_.push_back(rec.execLat);
+    flags_.push_back(packFlags(rec));
+    dest_.push_back(rec.dest);
+    src1_.push_back(rec.src1);
+    src2_.push_back(rec.src2);
+}
+
+void
+Trace::appendRows(const TraceSoA &src, std::size_t begin,
+                  std::size_t end)
+{
+    CSIM_ASSERT(begin <= end && end <= src.size());
+    auto copy = [&](auto &dst, auto col) {
+        dst.insert(dst.end(), col.begin() + begin, col.begin() + end);
+    };
+    copy(pc_, src.pc());
+    copy(memAddr_, src.memAddr());
+    for (int slot = 0; slot < numSrcSlots; ++slot) {
+        copy(prod_[slot], src.prod(slot));
+        for (std::size_t i = begin; i < end; ++i)
+            producerLinks_ += src.prod(slot)[i] != invalidInstId;
+    }
+    copy(op_, src.op());
+    copy(cls_, src.cls());
+    copy(execLat_, src.execLat());
+    copy(flags_, src.flags());
+    copy(dest_, src.dest());
+    copy(src1_, src.src1());
+    copy(src2_, src.src2());
+}
+
+void
+Trace::set(std::size_t i, const TraceRecord &rec)
+{
+    CSIM_ASSERT(i < size());
+    pc_[i] = rec.pc;
+    memAddr_[i] = rec.memAddr;
+    for (int slot = 0; slot < numSrcSlots; ++slot)
+        setProd(i, slot, rec.prod[slot]);
+    op_[i] = rec.op;
+    cls_[i] = rec.cls;
+    execLat_[i] = rec.execLat;
+    flags_[i] = packFlags(rec);
+    dest_[i] = rec.dest;
+    src1_[i] = rec.src1;
+    src2_[i] = rec.src2;
+}
+
+TraceSoA
+Trace::soa() const
+{
+    return TraceSoA(columns());
+}
+
+TraceStats
+Trace::stats() const
+{
+    return soa().stats();
+}
+
+bool
+Trace::wellFormed() const
+{
+    return soa().wellFormed();
 }
 
 namespace {
@@ -112,77 +166,30 @@ void
 StreamingProducerLinker::link(Trace &chunk, InstId base)
 {
     for (std::size_t i = 0; i < chunk.size(); ++i) {
-        TraceRecord &rec = chunk[i];
+        const TraceRecord rec = chunk[i];
         const InstId id = base + i;
-        rec.prod = {invalidInstId, invalidInstId, invalidInstId};
+        std::array<InstId, numSrcSlots> prod =
+            {invalidInstId, invalidInstId, invalidInstId};
 
         const SrcRegs srcs = srcsOf(rec);
         if (srcs.n >= 1 && srcs.s1 != zeroReg)
-            rec.prod[srcSlot1] = lastWriter_[srcs.s1];
+            prod[srcSlot1] = lastWriter_[srcs.s1];
         if (srcs.n >= 2 && srcs.s2 != zeroReg)
-            rec.prod[srcSlot2] = lastWriter_[srcs.s2];
+            prod[srcSlot2] = lastWriter_[srcs.s2];
 
         if (rec.isLoad()) {
             auto it = lastStore_.find(rec.memAddr >> 3);
             if (it != lastStore_.end())
-                rec.prod[srcSlotMem] = it->second;
+                prod[srcSlotMem] = it->second;
         } else if (rec.isStore()) {
             lastStore_[rec.memAddr >> 3] = id;
         }
 
         if (rec.hasDest())
             lastWriter_[rec.dest] = id;
+        for (int slot = 0; slot < numSrcSlots; ++slot)
+            chunk.setProd(i, slot, prod[slot]);
     }
-}
-
-bool
-Trace::wellFormed() const
-{
-    for (std::size_t i = 0; i < records_.size(); ++i) {
-        const TraceRecord &rec = records_[i];
-        if (rec.op >= Opcode::NumOpcodes)
-            return false;
-        if (rec.cls != opClass(rec.op))
-            return false;
-        if (rec.execLat == 0)
-            return false;
-        if (rec.isBranch != isBranch(rec.op) ||
-            rec.isCondBranch != isCondBranch(rec.op))
-            return false;
-        for (int slot = 0; slot < numSrcSlots; ++slot) {
-            const InstId p = rec.prod[slot];
-            if (p != invalidInstId && p >= i)
-                return false;
-        }
-    }
-    return true;
-}
-
-TraceStats
-Trace::stats() const
-{
-    TraceStats s;
-    s.instructions = records_.size();
-    for (const TraceRecord &rec : records_) {
-        if (rec.isBranch) {
-            ++s.branches;
-            if (rec.isCondBranch) {
-                ++s.condBranches;
-                if (rec.mispredicted)
-                    ++s.mispredicted;
-            }
-        }
-        if (rec.isLoad()) {
-            ++s.loads;
-            if (rec.l1Miss)
-                ++s.l1Misses;
-        }
-        if (rec.isStore())
-            ++s.stores;
-        if (isFpClass(rec.cls))
-            ++s.fpOps;
-    }
-    return s;
 }
 
 } // namespace csim

@@ -6,16 +6,16 @@
  * annotation passes (branch prediction, cache latency), the clustered
  * timing simulator and the idealized list scheduler. Each record carries
  * the dataflow producers of its source operands so the timing models
- * never have to re-derive register renaming.
+ * never have to re-derive register renaming. A trace is held as columns
+ * only (the `.trc2` layout); TraceRecord is the by-value row form.
  */
 
 #ifndef CSIM_TRACE_TRACE_HH
 #define CSIM_TRACE_TRACE_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -94,67 +94,127 @@ struct TraceStats
     }
 };
 
+/** Packed per-instruction boolean annotations (the flags column). */
+enum TraceFlag : std::uint8_t
+{
+    flagIsBranch = 1u << 0,
+    flagIsCondBranch = 1u << 1,
+    flagTaken = 1u << 2,
+    flagMispredicted = 1u << 3,
+    flagL1Miss = 1u << 4,
+    /** writesDest(op) && dest != zeroReg, precomputed. */
+    flagHasDest = 1u << 5,
+};
+
 /**
- * A dynamic trace plus the producer-linkage pass.
+ * Read-only pointers to the twelve columns of a trace, in `.trc2`
+ * order: five 8-byte columns (pc, memAddr, three producer slots),
+ * then seven byte columns (op, cls, execLat, flags, dest, src1, src2).
+ */
+struct TraceColumns
+{
+    std::size_t size = 0;
+    /** Valid producer links over all slots. */
+    std::uint64_t producerLinks = 0;
+    const Addr *pc = nullptr;
+    const Addr *memAddr = nullptr;
+    const InstId *prod[numSrcSlots] = {nullptr, nullptr, nullptr};
+    const Opcode *op = nullptr;
+    const OpClass *cls = nullptr;
+    const std::uint8_t *execLat = nullptr;
+    const std::uint8_t *flags = nullptr;
+    const RegIndex *dest = nullptr;
+    const RegIndex *src1 = nullptr;
+    const RegIndex *src2 = nullptr;
+
+    /** Row i reassembled as a record. Inline, so reading one field
+     *  of the result compiles to one column load. */
+    TraceRecord
+    record(std::size_t i) const
+    {
+        TraceRecord rec;
+        rec.pc = pc[i];
+        rec.op = op[i];
+        rec.cls = cls[i];
+        rec.dest = dest[i];
+        rec.src1 = src1[i];
+        rec.src2 = src2[i];
+        rec.memAddr = memAddr[i];
+        for (int slot = 0; slot < numSrcSlots; ++slot)
+            rec.prod[slot] = prod[slot][i];
+        rec.execLat = execLat[i];
+        const std::uint8_t f = flags[i];
+        rec.isBranch = f & flagIsBranch;
+        rec.isCondBranch = f & flagIsCondBranch;
+        rec.taken = f & flagTaken;
+        rec.mispredicted = f & flagMispredicted;
+        rec.l1Miss = f & flagL1Miss;
+        return rec;
+    }
+};
+
+/**
+ * A dynamic trace, stored as the twelve columns of TraceColumns (one
+ * vector each), plus the producer-linkage pass.
  *
- * The AoS record vector is the build/annotation format; soa() derives
- * (and caches) the column-oriented TraceSoA the timing core consumes.
- * Any mutation drops the cached SoA, so a stale view can never be
- * observed through this object.
+ * Records go in by value (append) and come out by value (operator[]);
+ * the passes that annotate a built trace write single columns through
+ * the narrow setters. soa() is the read-only column view the timing
+ * core and the trace store consume; it points at this trace's own
+ * columns and is valid until the trace is next mutated or destroyed.
  */
 class Trace
 {
   public:
-    Trace();
-    ~Trace();
+    /** Host bytes per instruction: five 8-byte and seven 1-byte
+     *  columns. */
+    static constexpr std::size_t rowBytes =
+        (2 + numSrcSlots) * sizeof(std::uint64_t) + 7;
 
-    // The cached SoA (and its guarding mutex) is derived state: copies
-    // and moves transfer only the records and rebuild it on demand.
-    // Out of line: their bodies need TraceSoA complete.
-    Trace(const Trace &other);
-    Trace(Trace &&other) noexcept;
-    Trace &operator=(const Trace &other);
-    Trace &operator=(Trace &&other) noexcept;
+    /** Preallocate every column for n rows. */
+    void reserve(std::size_t n);
 
+    /** Scatter one record into the columns. */
+    void append(const TraceRecord &rec);
+
+    /** Append rows [begin, end) of a column view, links unchanged. */
+    void appendRows(const TraceSoA &src, std::size_t begin,
+                    std::size_t end);
+
+    /** Overwrite row i with rec (every column). */
+    void set(std::size_t i, const TraceRecord &rec);
+
+    std::size_t size() const { return pc_.size(); }
+    bool empty() const { return pc_.empty(); }
+
+    TraceRecord
+    operator[](std::size_t i) const
+    {
+        return columns().record(i);
+    }
+
+    // Narrow column setters for the linkage and annotation passes.
     void
-    append(TraceRecord rec)
+    setProd(std::size_t i, int slot, InstId p)
     {
-        invalidateSoA();
-        records_.push_back(rec);
+        producerLinks_ -= prod_[slot][i] != invalidInstId;
+        producerLinks_ += p != invalidInstId;
+        prod_[slot][i] = p;
     }
-
-    std::size_t size() const { return records_.size(); }
-    bool empty() const { return records_.empty(); }
-    const TraceRecord &operator[](std::size_t i) const
+    void
+    setMispredicted(std::size_t i, bool v)
     {
-        return records_[i];
+        setFlag(i, flagMispredicted, v);
     }
-    TraceRecord &
-    operator[](std::size_t i)
-    {
-        // Handing out a mutable reference may change any field, so the
-        // derived columns cannot be trusted afterwards.
-        invalidateSoA();
-        return records_[i];
-    }
+    void setL1Miss(std::size_t i, bool v) { setFlag(i, flagL1Miss, v); }
+    void setExecLat(std::size_t i, std::uint8_t lat) { execLat_[i] = lat; }
 
-    auto begin() const { return records_.begin(); }
-    auto end() const { return records_.end(); }
+    /** The read-only column view of this trace (no copy). */
+    TraceSoA soa() const;
 
-    /**
-     * The structure-of-arrays view of this trace, built lazily on
-     * first use and cached (thread-safe: concurrent sweep cells share
-     * one immutable trace). The reference stays valid until the trace
-     * is mutated or destroyed.
-     */
-    const TraceSoA &soa() const;
-
-    /**
-     * Host bytes held by this trace: the AoS records plus the SoA
-     * arena when the column view has been materialized. This is what
-     * TraceCache reports as bytesHeld.
-     */
-    std::size_t footprintBytes() const;
+    /** Host bytes held by the columns: rowBytes per instruction. This
+     *  is what TraceCache reports as bytesHeld. */
+    std::size_t footprintBytes() const { return size() * rowBytes; }
 
     /**
      * Fill in the producer links: for each register source, the most
@@ -164,26 +224,54 @@ class Trace
      */
     void linkProducers();
 
-    /** Compute aggregate statistics. */
+    /** Compute aggregate statistics (TraceSoA::stats). */
     TraceStats stats() const;
 
-    /**
-     * Structural sanity of the producer links and annotations: every
-     * producer index strictly precedes its consumer, op classes match
-     * opcodes, and latencies are nonzero. Used to vet traces loaded
-     * from disk before feeding them to the timing models.
-     */
+    /** Structural sanity of links and annotations
+     *  (TraceSoA::wellFormed). */
     bool wellFormed() const;
 
   private:
-    void invalidateSoA();
+    TraceColumns columns() const;
 
-    std::vector<TraceRecord> records_;
+    void
+    setFlag(std::size_t i, std::uint8_t bit, bool v)
+    {
+        flags_[i] = v ? (flags_[i] | bit) : (flags_[i] & ~bit);
+    }
 
-    /** Lazily built column view; guarded by soaMutex_. */
-    mutable std::unique_ptr<TraceSoA> soa_;
-    mutable std::mutex soaMutex_;
+    std::vector<Addr> pc_;
+    std::vector<Addr> memAddr_;
+    std::array<std::vector<InstId>, numSrcSlots> prod_;
+    std::vector<Opcode> op_;
+    std::vector<OpClass> cls_;
+    std::vector<std::uint8_t> execLat_;
+    std::vector<std::uint8_t> flags_;
+    std::vector<RegIndex> dest_;
+    std::vector<RegIndex> src1_;
+    std::vector<RegIndex> src2_;
+    std::uint64_t producerLinks_ = 0;
 };
+
+inline TraceColumns
+Trace::columns() const
+{
+    TraceColumns c;
+    c.size = size();
+    c.producerLinks = producerLinks_;
+    c.pc = pc_.data();
+    c.memAddr = memAddr_.data();
+    for (int slot = 0; slot < numSrcSlots; ++slot)
+        c.prod[slot] = prod_[slot].data();
+    c.op = op_.data();
+    c.cls = cls_.data();
+    c.execLat = execLat_.data();
+    c.flags = flags_.data();
+    c.dest = dest_.data();
+    c.src1 = src1_.data();
+    c.src2 = src2_.data();
+    return c;
+}
 
 /**
  * The producer-linkage pass with state that persists across chunks:

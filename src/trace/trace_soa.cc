@@ -1,137 +1,13 @@
 #include "trace/trace_soa.hh"
 
-#include "common/logging.hh"
-
 namespace csim {
-
-TraceSoA::TraceSoA(const Trace &trace)
-{
-    size_ = trace.size();
-    const std::size_t n = size_;
-
-    // One arena: the five 8-byte columns first (keeping every column
-    // naturally aligned), then the seven byte columns.
-    constexpr std::size_t wideColumns = 2 + numSrcSlots;
-    constexpr std::size_t byteColumns = 7;
-    arenaBytes_ = n * (wideColumns * sizeof(std::uint64_t) +
-                       byteColumns * sizeof(std::uint8_t));
-    arena_ = std::make_unique<std::byte[]>(arenaBytes_);
-
-    std::byte *cursor = arena_.get();
-    auto take = [&](std::size_t bytes) {
-        std::byte *p = cursor;
-        cursor += bytes;
-        return p;
-    };
-    pc_ = reinterpret_cast<Addr *>(take(n * sizeof(Addr)));
-    memAddr_ = reinterpret_cast<Addr *>(take(n * sizeof(Addr)));
-    for (int slot = 0; slot < numSrcSlots; ++slot)
-        prod_[slot] =
-            reinterpret_cast<InstId *>(take(n * sizeof(InstId)));
-    op_ = reinterpret_cast<Opcode *>(take(n));
-    cls_ = reinterpret_cast<OpClass *>(take(n));
-    execLat_ = reinterpret_cast<std::uint8_t *>(take(n));
-    flags_ = reinterpret_cast<std::uint8_t *>(take(n));
-    dest_ = reinterpret_cast<RegIndex *>(take(n));
-    src1_ = reinterpret_cast<RegIndex *>(take(n));
-    src2_ = reinterpret_cast<RegIndex *>(take(n));
-    CSIM_ASSERT(cursor == arena_.get() + arenaBytes_);
-
-    for (std::size_t i = 0; i < n; ++i) {
-        const TraceRecord &rec = trace[i];
-        pc_[i] = rec.pc;
-        memAddr_[i] = rec.memAddr;
-        for (int slot = 0; slot < numSrcSlots; ++slot) {
-            prod_[slot][i] = rec.prod[slot];
-            if (rec.prod[slot] != invalidInstId)
-                ++producerLinks_;
-        }
-        op_[i] = rec.op;
-        cls_[i] = rec.cls;
-        execLat_[i] = rec.execLat;
-        std::uint8_t f = 0;
-        if (rec.isBranch)
-            f |= flagIsBranch;
-        if (rec.isCondBranch)
-            f |= flagIsCondBranch;
-        if (rec.taken)
-            f |= flagTaken;
-        if (rec.mispredicted)
-            f |= flagMispredicted;
-        if (rec.l1Miss)
-            f |= flagL1Miss;
-        if (rec.hasDest())
-            f |= flagHasDest;
-        flags_[i] = f;
-        dest_[i] = rec.dest;
-        src1_[i] = rec.src1;
-        src2_[i] = rec.src2;
-    }
-}
-
-TraceSoA::TraceSoA(const Columns &cols,
-                   std::shared_ptr<const void> keepalive)
-    : size_(cols.size), producerLinks_(cols.producerLinks),
-      keepalive_(std::move(keepalive))
-{
-    constexpr std::size_t wideColumns = 2 + numSrcSlots;
-    constexpr std::size_t byteColumns = 7;
-    arenaBytes_ = size_ * (wideColumns * sizeof(std::uint64_t) +
-                           byteColumns * sizeof(std::uint8_t));
-
-    // The view is read-only after construction, so adopting const
-    // columns through the non-const pointers is safe.
-    pc_ = const_cast<Addr *>(cols.pc);
-    memAddr_ = const_cast<Addr *>(cols.memAddr);
-    for (int slot = 0; slot < numSrcSlots; ++slot)
-        prod_[slot] = const_cast<InstId *>(cols.prod[slot]);
-    op_ = const_cast<Opcode *>(cols.op);
-    cls_ = const_cast<OpClass *>(cols.cls);
-    execLat_ = const_cast<std::uint8_t *>(cols.execLat);
-    flags_ = const_cast<std::uint8_t *>(cols.flags);
-    dest_ = const_cast<RegIndex *>(cols.dest);
-    src1_ = const_cast<RegIndex *>(cols.src1);
-    src2_ = const_cast<RegIndex *>(cols.src2);
-}
-
-TraceRecord
-TraceSoA::record(std::size_t i) const
-{
-    CSIM_ASSERT(i < size_);
-    TraceRecord rec;
-    rec.pc = pc_[i];
-    rec.op = op_[i];
-    rec.cls = cls_[i];
-    rec.dest = dest_[i];
-    rec.src1 = src1_[i];
-    rec.src2 = src2_[i];
-    rec.memAddr = memAddr_[i];
-    for (int slot = 0; slot < numSrcSlots; ++slot)
-        rec.prod[slot] = prod_[slot][i];
-    rec.execLat = execLat_[i];
-    rec.isBranch = isBranch(i);
-    rec.isCondBranch = isCondBranch(i);
-    rec.taken = taken(i);
-    rec.mispredicted = mispredicted(i);
-    rec.l1Miss = l1Miss(i);
-    return rec;
-}
-
-Trace
-TraceSoA::toTrace() const
-{
-    Trace trace;
-    for (std::size_t i = 0; i < size_; ++i)
-        trace.append(record(i));
-    return trace;
-}
 
 TraceStats
 TraceSoA::stats() const
 {
     TraceStats s;
-    s.instructions = size_;
-    for (std::size_t i = 0; i < size_; ++i) {
+    s.instructions = size();
+    for (std::size_t i = 0; i < size(); ++i) {
         if (isBranch(i)) {
             ++s.branches;
             if (isCondBranch(i)) {
@@ -147,10 +23,33 @@ TraceSoA::stats() const
         }
         if (isStore(i))
             ++s.stores;
-        if (isFpClass(cls_[i]))
+        if (isFpClass(cols_.cls[i]))
             ++s.fpOps;
     }
     return s;
+}
+
+bool
+TraceSoA::wellFormed() const
+{
+    for (std::size_t i = 0; i < size(); ++i) {
+        const Opcode op = cols_.op[i];
+        if (op >= Opcode::NumOpcodes)
+            return false;
+        if (cols_.cls[i] != opClass(op))
+            return false;
+        if (cols_.execLat[i] == 0)
+            return false;
+        if (isBranch(i) != csim::isBranch(op) ||
+            isCondBranch(i) != csim::isCondBranch(op))
+            return false;
+        for (int slot = 0; slot < numSrcSlots; ++slot) {
+            const InstId p = cols_.prod[slot][i];
+            if (p != invalidInstId && p >= i)
+                return false;
+        }
+    }
+    return true;
 }
 
 } // namespace csim

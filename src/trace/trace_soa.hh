@@ -1,16 +1,14 @@
 /**
  * @file
- * Structure-of-arrays view of an annotated trace.
+ * Read-only column view of an annotated trace.
  *
  * The timing core walks a handful of per-instruction fields (op class,
- * latency, producers, branch flags, pc) millions of times per run; in
- * the 64-byte AoS TraceRecord those fields share cache lines with cold
- * annotation state. TraceSoA splits them into dense per-field columns
- * backed by ONE arena allocation, so each hot loop streams exactly the
- * bytes it needs. The AoS Trace stays the build/annotation interchange
- * format; the SoA is a frozen snapshot derived from it (see
- * Trace::soa()) and must never outlive a subsequent mutation of its
- * source trace.
+ * latency, producers, branch flags, pc) millions of times per run;
+ * dense per-field columns let each hot loop stream exactly the bytes
+ * it needs. A TraceSoA owns no columns: it points either at a Trace's
+ * own columns (Trace::soa(), valid until that trace is mutated or
+ * destroyed) or at an mmap-ed trace store, whose mapping it keeps
+ * alive. Copies are cheap and share the same columns.
  */
 
 #ifndef CSIM_TRACE_TRACE_SOA_HH
@@ -20,6 +18,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 
 #include "common/types.hh"
 #include "isa/opcode.hh"
@@ -30,145 +29,116 @@ namespace csim {
 class TraceSoA
 {
   public:
-    /** Packed per-instruction boolean annotations (flags() column). */
-    enum Flag : std::uint8_t
-    {
-        flagIsBranch = 1u << 0,
-        flagIsCondBranch = 1u << 1,
-        flagTaken = 1u << 2,
-        flagMispredicted = 1u << 3,
-        flagL1Miss = 1u << 4,
-        /** writesDest(op) && dest != zeroReg, precomputed. */
-        flagHasDest = 1u << 5,
-    };
-
-    /**
-     * Externally owned columns (the trace-store mmap path). Pointers
-     * must stay valid for the keepalive's lifetime; TraceSoA never
-     * writes through them after construction.
-     */
-    struct Columns
-    {
-        std::size_t size = 0;
-        /** Valid producer links over all slots (see producerLinks()). */
-        std::uint64_t producerLinks = 0;
-        const Addr *pc = nullptr;
-        const Addr *memAddr = nullptr;
-        const InstId *prod[numSrcSlots] = {nullptr, nullptr, nullptr};
-        const Opcode *op = nullptr;
-        const OpClass *cls = nullptr;
-        const std::uint8_t *execLat = nullptr;
-        const std::uint8_t *flags = nullptr;
-        const RegIndex *dest = nullptr;
-        const RegIndex *src1 = nullptr;
-        const RegIndex *src2 = nullptr;
-    };
-
     /** Empty view (no columns). */
     TraceSoA() = default;
 
-    /** Build the columns from an AoS trace (one arena allocation). */
-    explicit TraceSoA(const Trace &trace);
-
     /**
-     * Adopt externally owned columns (e.g. an mmap-ed trace store).
-     * `keepalive` is retained for the lifetime of this view and keeps
-     * the backing storage (mapping or decode arena) alive; arenaBytes()
-     * reports the columns' aggregate byte size either way.
+     * View the given columns. `keepalive` (e.g. an mmap of a trace
+     * store) is retained for the lifetime of this view and of every
+     * copy; the columns must stay valid that long.
      */
-    TraceSoA(const Columns &cols, std::shared_ptr<const void> keepalive);
+    explicit TraceSoA(const TraceColumns &cols,
+                      std::shared_ptr<const void> keepalive = {})
+        : cols_(cols), keepalive_(std::move(keepalive))
+    {}
 
-    TraceSoA(TraceSoA &&) noexcept = default;
-    TraceSoA &operator=(TraceSoA &&) noexcept = default;
-
-    std::size_t size() const { return size_; }
-    bool empty() const { return size_ == 0; }
-
-    /** Bytes of the single backing arena (the whole SoA footprint). */
-    std::size_t arenaBytes() const { return arenaBytes_; }
+    std::size_t size() const { return cols_.size; }
+    bool empty() const { return cols_.size == 0; }
 
     /** Producer links with a valid (non-sentinel) producer, over all
      *  slots — the exact upper bound on waiter-list nodes a timing run
      *  can ever enqueue. */
-    std::uint64_t producerLinks() const { return producerLinks_; }
+    std::uint64_t producerLinks() const { return cols_.producerLinks; }
+
+    /** The raw column pointers. */
+    const TraceColumns &columns() const { return cols_; }
 
     // Hot columns, one entry per dynamic instruction.
-    std::span<const Addr> pc() const { return {pc_, size_}; }
-    std::span<const Addr> memAddr() const { return {memAddr_, size_}; }
+    std::span<const Addr> pc() const { return {cols_.pc, size()}; }
+    std::span<const Addr>
+    memAddr() const
+    {
+        return {cols_.memAddr, size()};
+    }
     /** Producer column for one SrcSlot. */
     std::span<const InstId>
     prod(int slot) const
     {
-        return {prod_[slot], size_};
+        return {cols_.prod[slot], size()};
     }
-    std::span<const Opcode> op() const { return {op_, size_}; }
-    std::span<const OpClass> cls() const { return {cls_, size_}; }
+    std::span<const Opcode> op() const { return {cols_.op, size()}; }
+    std::span<const OpClass> cls() const { return {cols_.cls, size()}; }
     std::span<const std::uint8_t>
     execLat() const
     {
-        return {execLat_, size_};
+        return {cols_.execLat, size()};
     }
-    std::span<const std::uint8_t> flags() const { return {flags_, size_}; }
-    std::span<const RegIndex> dest() const { return {dest_, size_}; }
-    std::span<const RegIndex> src1() const { return {src1_, size_}; }
-    std::span<const RegIndex> src2() const { return {src2_, size_}; }
+    std::span<const std::uint8_t>
+    flags() const
+    {
+        return {cols_.flags, size()};
+    }
+    std::span<const RegIndex> dest() const { return {cols_.dest, size()}; }
+    std::span<const RegIndex> src1() const { return {cols_.src1, size()}; }
+    std::span<const RegIndex> src2() const { return {cols_.src2, size()}; }
 
     bool
     isBranch(std::size_t i) const
     {
-        return flags_[i] & flagIsBranch;
+        return cols_.flags[i] & flagIsBranch;
     }
     bool
     isCondBranch(std::size_t i) const
     {
-        return flags_[i] & flagIsCondBranch;
+        return cols_.flags[i] & flagIsCondBranch;
     }
-    bool taken(std::size_t i) const { return flags_[i] & flagTaken; }
+    bool taken(std::size_t i) const { return cols_.flags[i] & flagTaken; }
     bool
     mispredicted(std::size_t i) const
     {
-        return flags_[i] & flagMispredicted;
+        return cols_.flags[i] & flagMispredicted;
     }
-    bool l1Miss(std::size_t i) const { return flags_[i] & flagL1Miss; }
-    bool hasDest(std::size_t i) const { return flags_[i] & flagHasDest; }
-    bool isLoad(std::size_t i) const { return cls_[i] == OpClass::Load; }
+    bool
+    l1Miss(std::size_t i) const
+    {
+        return cols_.flags[i] & flagL1Miss;
+    }
+    bool
+    hasDest(std::size_t i) const
+    {
+        return cols_.flags[i] & flagHasDest;
+    }
+    bool
+    isLoad(std::size_t i) const
+    {
+        return cols_.cls[i] == OpClass::Load;
+    }
     bool
     isStore(std::size_t i) const
     {
-        return cls_[i] == OpClass::Store;
+        return cols_.cls[i] == OpClass::Store;
     }
 
-    /** Reassemble one AoS record (round-trip and diagnostics). */
-    TraceRecord record(std::size_t i) const;
+    /** Row i reassembled as a record. */
+    TraceRecord record(std::size_t i) const { return cols_.record(i); }
 
-    /** Reassemble the whole AoS trace (round-trip testing). */
-    Trace toTrace() const;
-
-    /** Aggregate statistics computed straight from the columns; equal
-     *  to Trace::stats() of the source trace by construction. */
+    /** Aggregate statistics over the columns. */
     TraceStats stats() const;
 
+    /**
+     * Structural sanity of the producer links and annotations: every
+     * producer index strictly precedes its consumer, op classes and
+     * branch flags match opcodes, and latencies are nonzero. Used to
+     * vet rows read from disk before feeding them to the timing
+     * models.
+     */
+    bool wellFormed() const;
+
   private:
-    std::size_t size_ = 0;
-    std::size_t arenaBytes_ = 0;
-    std::uint64_t producerLinks_ = 0;
-
-    std::unique_ptr<std::byte[]> arena_;
-    /** External backing storage (mmap keepalive); null when arena_
-     *  owns the columns. */
+    TraceColumns cols_;
+    /** External backing storage (mmap keepalive); null for a view of
+     *  a Trace. */
     std::shared_ptr<const void> keepalive_;
-
-    // Column pointers into arena_ (8-byte columns first, then bytes).
-    Addr *pc_ = nullptr;
-    Addr *memAddr_ = nullptr;
-    InstId *prod_[numSrcSlots] = {nullptr, nullptr, nullptr};
-    Opcode *op_ = nullptr;
-    OpClass *cls_ = nullptr;
-    std::uint8_t *execLat_ = nullptr;
-    std::uint8_t *flags_ = nullptr;
-    RegIndex *dest_ = nullptr;
-    RegIndex *src1_ = nullptr;
-    RegIndex *src2_ = nullptr;
 };
 
 } // namespace csim

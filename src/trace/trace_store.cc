@@ -3,7 +3,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstring>
-#include <vector>
+#include <span>
 
 #include <fcntl.h>
 #include <sys/mman.h>
@@ -26,12 +26,13 @@ constexpr std::uint32_t endianTag = 0x01020304u;
  *  layout this loader cannot map, so it loads as BadVersion. */
 constexpr std::uint32_t knownFlags = 0;
 
-/** Columns in TraceSoA arena order: five wide, then seven byte. */
+/** Columns in Trace order: five wide, then seven byte. */
 constexpr std::size_t numColumns = 12;
-constexpr std::size_t numWideColumns = 2 + numSrcSlots;
 constexpr std::size_t columnElemBytes[numColumns] = {8, 8, 8, 8, 8,
                                                      1, 1, 1, 1, 1,
                                                      1, 1};
+static_assert(5 * 8 + 7 == Trace::rowBytes,
+              "the store's columns are the Trace's columns");
 
 struct ColumnDesc
 {
@@ -112,67 +113,24 @@ pwriteAll(int fd, const void *buf, std::size_t len, std::uint64_t off)
     return true;
 }
 
-std::uint8_t
-packFlags(const TraceRecord &rec)
+/** Column c's base pointer, in store (and Trace) column order. */
+const void *
+columnData(const TraceColumns &cols, std::size_t c)
 {
-    std::uint8_t f = 0;
-    if (rec.isBranch)
-        f |= TraceSoA::flagIsBranch;
-    if (rec.isCondBranch)
-        f |= TraceSoA::flagIsCondBranch;
-    if (rec.taken)
-        f |= TraceSoA::flagTaken;
-    if (rec.mispredicted)
-        f |= TraceSoA::flagMispredicted;
-    if (rec.l1Miss)
-        f |= TraceSoA::flagL1Miss;
-    if (rec.hasDest())
-        f |= TraceSoA::flagHasDest;
-    return f;
+    switch (c) {
+      case 0: return cols.pc;
+      case 1: return cols.memAddr;
+      case 2: case 3: case 4: return cols.prod[c - 2];
+      case 5: return cols.op;
+      case 6: return cols.cls;
+      case 7: return cols.execLat;
+      case 8: return cols.flags;
+      case 9: return cols.dest;
+      case 10: return cols.src1;
+      case 11: return cols.src2;
+      default: CSIM_PANIC("columnData: bad column");
+    }
 }
-
-/** Stage one chunk's columns into contiguous buffers. */
-struct ColumnStage
-{
-    std::vector<std::uint64_t> wide[numWideColumns];
-    std::vector<std::uint8_t> narrow[numColumns - numWideColumns];
-    std::uint64_t producerLinks = 0;
-
-    explicit ColumnStage(const Trace &chunk)
-    {
-        const std::size_t n = chunk.size();
-        for (auto &w : wide)
-            w.reserve(n);
-        for (auto &b : narrow)
-            b.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            const TraceRecord &rec = chunk[i];
-            wide[0].push_back(rec.pc);
-            wide[1].push_back(rec.memAddr);
-            for (int slot = 0; slot < numSrcSlots; ++slot) {
-                wide[2 + slot].push_back(rec.prod[slot]);
-                if (rec.prod[slot] != invalidInstId)
-                    ++producerLinks;
-            }
-            narrow[0].push_back(static_cast<std::uint8_t>(rec.op));
-            narrow[1].push_back(static_cast<std::uint8_t>(rec.cls));
-            narrow[2].push_back(rec.execLat);
-            narrow[3].push_back(packFlags(rec));
-            narrow[4].push_back(rec.dest);
-            narrow[5].push_back(rec.src1);
-            narrow[6].push_back(rec.src2);
-        }
-    }
-
-    const void *
-    data(std::size_t c) const
-    {
-        return c < numWideColumns
-            ? static_cast<const void *>(wide[c].data())
-            : static_cast<const void *>(
-                  narrow[c - numWideColumns].data());
-    }
-};
 
 struct Unmapper
 {
@@ -254,17 +212,17 @@ TraceStoreWriter::append(const Trace &chunk)
 
     ColumnDesc col[numColumns];
     rawLayout(capacity_, col);
-    const ColumnStage stage(chunk);
+    const TraceSoA view = chunk.soa();
     for (std::size_t c = 0; c < numColumns; ++c) {
         const std::uint64_t off =
             col[c].offset + written_ * columnElemBytes[c];
-        if (!pwriteAll(fd_, stage.data(c),
+        if (!pwriteAll(fd_, columnData(view.columns(), c),
                        chunk.size() * columnElemBytes[c], off)) {
             failed_ = true;
             return false;
         }
     }
-    producerLinks_ += stage.producerLinks;
+    producerLinks_ += view.producerLinks();
     written_ += chunk.size();
     return true;
 }
@@ -377,7 +335,7 @@ loadTraceStore(TraceSoA &soa, const std::string &path,
     const std::size_t n = hdr.count;
     const std::byte *map = static_cast<const std::byte *>(base);
     auto column = [&](std::size_t c) { return map + hdr.col[c].offset; };
-    TraceSoA::Columns cols;
+    TraceColumns cols;
     cols.size = n;
     cols.producerLinks = hdr.producerLinks;
     cols.pc = reinterpret_cast<const Addr *>(column(0));
@@ -408,15 +366,15 @@ extractRegion(const TraceSoA &soa, std::uint64_t base,
     const std::uint64_t end =
         len < soa.size() - base ? base + len : soa.size();
     Trace region;
-    for (std::uint64_t i = base; i < end; ++i) {
-        TraceRecord rec = soa.record(i);
-        for (int slot = 0; slot < numSrcSlots; ++slot) {
-            const InstId p = rec.prod[slot];
-            rec.prod[slot] = (p == invalidInstId || p < base)
-                ? invalidInstId
-                : p - base;
+    region.appendRows(soa, base, end);
+    for (int slot = 0; slot < numSrcSlots; ++slot) {
+        const std::span<const InstId> prod = soa.prod(slot);
+        for (std::uint64_t i = base; i < end; ++i) {
+            const InstId p = prod[i];
+            region.setProd(i - base, slot,
+                           p == invalidInstId || p < base ? invalidInstId
+                                                          : p - base);
         }
-        region.append(rec);
     }
     return region;
 }

@@ -4,7 +4,7 @@
  * format, and the only on-disk trace format.
  *
  * The store writes the *columns* themselves: the on-disk layout after
- * the header is exactly TraceSoA's column arena (five 8-byte columns,
+ * the header is exactly a Trace's twelve columns (five 8-byte columns,
  * then seven byte columns, each 8-byte aligned), so loading is one
  * mmap + header validation and the mapping itself backs a zero-copy
  * TraceSoA. Pages are faulted in only as the timing
@@ -59,7 +59,7 @@ struct TraceStoreInfo
 };
 
 /**
- * Incremental v2 writer: declare a capacity, append AoS chunks, then
+ * Incremental v2 writer: declare a capacity, append trace chunks, then
  * finalize. Columns live at capacity-sized fixed offsets, so chunks
  * land at their final position without buffering the whole trace.
  * The file is invalid until finalize() returns true.
@@ -118,8 +118,8 @@ TraceIoStatus loadTraceStore(TraceSoA &soa, const std::string &path,
                              TraceStoreInfo *info = nullptr);
 
 /**
- * Materialize rows [base, base+len) of a column view as a standalone
- * AoS trace, remapping producer links into region-local indices
+ * Copy rows [base, base+len) of a column view into a standalone
+ * trace, column slice by column slice, remapping producer links into region-local indices
  * (links reaching before the region become invalidInstId — the
  * operand was ready at dispatch, exactly the semantics of a link
  * reaching before a trace window). Only the touched rows' pages of an

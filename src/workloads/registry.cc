@@ -15,23 +15,22 @@ namespace {
 struct Entry
 {
     const char *name;
-    WorkloadBuilder builder;
     WorkloadPreparer preparer;
 };
 
 constexpr Entry entries[] = {
-    {"bzip2", buildBzip2, prepareBzip2},
-    {"crafty", buildCrafty, prepareCrafty},
-    {"eon", buildEon, prepareEon},
-    {"gap", buildGap, prepareGap},
-    {"gcc", buildGcc, prepareGcc},
-    {"gzip", buildGzip, prepareGzip},
-    {"mcf", buildMcf, prepareMcf},
-    {"parser", buildParser, prepareParser},
-    {"perl", buildPerl, preparePerl},
-    {"twolf", buildTwolf, prepareTwolf},
-    {"vortex", buildVortex, prepareVortex},
-    {"vpr", buildVpr, prepareVpr},
+    {"bzip2", prepareBzip2},
+    {"crafty", prepareCrafty},
+    {"eon", prepareEon},
+    {"gap", prepareGap},
+    {"gcc", prepareGcc},
+    {"gzip", prepareGzip},
+    {"mcf", prepareMcf},
+    {"parser", prepareParser},
+    {"perl", preparePerl},
+    {"twolf", prepareTwolf},
+    {"vortex", prepareVortex},
+    {"vpr", prepareVpr},
 };
 
 } // anonymous namespace
@@ -48,15 +47,6 @@ workloadNames()
     return names;
 }
 
-WorkloadBuilder
-workloadBuilder(const std::string &name)
-{
-    for (const Entry &e : entries)
-        if (name == e.name)
-            return e.builder;
-    CSIM_FATAL("unknown workload name");
-}
-
 WorkloadPreparer
 workloadPreparer(const std::string &name)
 {
@@ -69,42 +59,77 @@ workloadPreparer(const std::string &name)
 Trace
 buildWorkloadTrace(const std::string &name, const WorkloadConfig &cfg)
 {
-    return workloadBuilder(name)(cfg);
+    return workloadPreparer(name)(cfg).emulator->run(
+        cfg.targetInstructions);
 }
+
+namespace {
+
+/**
+ * The one trace-build loop: emulate a chunk, link its producers,
+ * annotate branches (gshare) and loads (L1), hand it to `sink`. Each
+ * pass's state lives across chunks, so the rows do not depend on the
+ * chunk size. Returns the instructions the sink accepted; stops early
+ * when the sink returns false.
+ */
+template <typename Sink>
+std::uint64_t
+buildChunks(const std::string &name, const WorkloadConfig &cfg,
+            std::uint64_t chunkInstructions, const MemoryModelConfig &mem,
+            unsigned gshare_bits, Sink &&sink)
+{
+    CSIM_ASSERT(chunkInstructions > 0);
+    PreparedWorkload w = workloadPreparer(name)(cfg);
+    StreamingProducerLinker linker;
+    GsharePredictor pred(gshare_bits);
+    Cache l1(mem.l1);
+
+    std::uint64_t built = 0;
+    while (built < cfg.targetInstructions && !w.emulator->done()) {
+        const std::uint64_t want =
+            std::min(chunkInstructions, cfg.targetInstructions - built);
+        Trace chunk;
+        chunk.reserve(want);
+        {
+            HOST_PROF_SCOPE("trace.emulate");
+            if (w.emulator->runChunk(chunk, want) == 0)
+                break;
+        }
+        {
+            HOST_PROF_SCOPE("trace.linkProducers");
+            linker.link(chunk, built);
+        }
+        {
+            HOST_PROF_SCOPE("trace.annotateBranches");
+            annotateBranches(chunk, pred);
+        }
+        {
+            HOST_PROF_SCOPE("trace.annotateMemory");
+            annotateMemory(chunk, l1, mem);
+        }
+        if (!sink(chunk))
+            break;
+        built += chunk.size();
+    }
+    return built;
+}
+
+} // anonymous namespace
 
 Trace
 buildAnnotatedTrace(const std::string &name, const WorkloadConfig &cfg,
                     const MemoryModelConfig &mem, unsigned gshare_bits)
 {
     HOST_PROF_SCOPE("trace.build");
-    Trace trace = [&] {
-        HOST_PROF_SCOPE("trace.emulate");
-        return buildWorkloadTrace(name, cfg);
-    }();
-    {
-        HOST_PROF_SCOPE("trace.linkProducers");
-        trace.linkProducers();
-    }
-    {
-        HOST_PROF_SCOPE("trace.annotateBranches");
-        annotateBranches(trace, gshare_bits);
-    }
-    {
-        HOST_PROF_SCOPE("trace.annotateMemory");
-        annotateMemory(trace, mem);
-    }
+    Trace trace;
+    trace.reserve(cfg.targetInstructions);
+    buildChunks(name, cfg, traceChunkInstructions, mem, gshare_bits,
+                [&](const Trace &chunk) {
+                    trace.appendRows(chunk.soa(), 0, chunk.size());
+                    return true;
+                });
     HOST_PROF_INSTRUCTIONS(trace.size());
     return trace;
-}
-
-std::shared_ptr<const Trace>
-buildSharedAnnotatedTrace(const std::string &name,
-                          const WorkloadConfig &cfg,
-                          const MemoryModelConfig &mem,
-                          unsigned gshare_bits)
-{
-    return std::make_shared<const Trace>(
-        buildAnnotatedTrace(name, cfg, mem, gshare_bits));
 }
 
 TraceStoreBuildResult
@@ -114,33 +139,12 @@ buildTraceStoreFile(const std::string &name, const WorkloadConfig &cfg,
                     const MemoryModelConfig &mem, unsigned gshare_bits)
 {
     HOST_PROF_SCOPE("trace.buildStore");
-    CSIM_ASSERT(chunkInstructions > 0);
-
-    PreparedWorkload w = workloadPreparer(name)(cfg);
     TraceStoreWriter writer(path, cfg.targetInstructions);
-
-    // Each pass's state lives across chunks, so chunked annotation
-    // replays the monolithic passes exactly (see buildAnnotatedTrace).
-    StreamingProducerLinker linker;
-    GsharePredictor pred(gshare_bits);
-    Cache l1(mem.l1);
-
     TraceStoreBuildResult res;
-    while (res.instructions < cfg.targetInstructions &&
-           !w.emulator->done()) {
-        const std::uint64_t want =
-            std::min(chunkInstructions,
-                     cfg.targetInstructions - res.instructions);
-        Trace chunk;
-        if (w.emulator->runChunk(chunk, want) == 0)
-            break;
-        linker.link(chunk, res.instructions);
-        annotateBranches(chunk, pred);
-        annotateMemory(chunk, l1, mem);
-        if (!writer.append(chunk))
-            return res;
-        res.instructions += chunk.size();
-    }
+    // A failed append leaves the writer failed, so finalize() fails.
+    res.instructions = buildChunks(
+        name, cfg, chunkInstructions, mem, gshare_bits,
+        [&](const Trace &chunk) { return writer.append(chunk); });
     if (!writer.finalize())
         return res;
     HOST_PROF_INSTRUCTIONS(res.instructions);

@@ -1,6 +1,6 @@
 /**
  * @file
- * Workload registry: name -> builder, plus the standard preparation
+ * Workload registry: name -> preparer, plus the standard preparation
  * pipeline (producer linking, branch annotation, cache annotation)
  * every consumer of a trace needs.
  */
@@ -8,7 +8,6 @@
 #ifndef CSIM_WORKLOADS_REGISTRY_HH
 #define CSIM_WORKLOADS_REGISTRY_HH
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,9 +20,6 @@ namespace csim {
 /** The 12 SPECint 2000 proxies, in the paper's plotting order. */
 const std::vector<std::string> &workloadNames();
 
-/** Builder for a named workload; fatals on an unknown name. */
-WorkloadBuilder workloadBuilder(const std::string &name);
-
 /** Paused-at-entry preparer for a named workload (streaming builds);
  *  fatals on an unknown name. */
 WorkloadPreparer workloadPreparer(const std::string &name);
@@ -34,7 +30,8 @@ Trace buildWorkloadTrace(const std::string &name,
 
 /**
  * Build a simulation-ready trace: emulate, link producers, annotate
- * branch mispredictions (gshare) and load latencies (L1 model).
+ * branch mispredictions (gshare) and load latencies (L1 model). Runs
+ * the same chunk loop as buildTraceStoreFile with an in-memory sink.
  */
 Trace buildAnnotatedTrace(const std::string &name,
                           const WorkloadConfig &cfg,
@@ -42,18 +39,8 @@ Trace buildAnnotatedTrace(const std::string &name,
                               MemoryModelConfig{},
                           unsigned gshare_bits = 16);
 
-/**
- * Build an annotated trace into immutable shared storage. This is the
- * form the harness TraceCache hands to concurrently running experiment
- * cells: every consumer downstream of the annotation passes takes
- * `const Trace &`, so one build can back any number of cells.
- */
-std::shared_ptr<const Trace>
-buildSharedAnnotatedTrace(const std::string &name,
-                          const WorkloadConfig &cfg,
-                          const MemoryModelConfig &mem =
-                              MemoryModelConfig{},
-                          unsigned gshare_bits = 16);
+/** Instructions per chunk of the trace-build loop. */
+inline constexpr std::uint64_t traceChunkInstructions = 1u << 16;
 
 /** Outcome of a streaming store build. */
 struct TraceStoreBuildResult
@@ -68,14 +55,15 @@ struct TraceStoreBuildResult
  * a v2 trace store file: emulate, link producers and annotate in
  * bounded chunks, appending each chunk's columns to the store — peak
  * host memory is O(chunkInstructions), not O(targetInstructions).
- * Because every pass (linking, gshare, L1) carries its state across
- * chunks, the stored trace is byte-identical to what
- * buildAnnotatedTrace would produce with the same arguments.
+ * Every pass (linking, gshare, L1) carries its state across chunks,
+ * and buildAnnotatedTrace runs the same loop, so the stored trace is
+ * the trace buildAnnotatedTrace returns for the same arguments.
  */
 TraceStoreBuildResult
 buildTraceStoreFile(const std::string &name, const WorkloadConfig &cfg,
                     const std::string &path,
-                    std::uint64_t chunkInstructions = 1u << 16,
+                    std::uint64_t chunkInstructions =
+                        traceChunkInstructions,
                     const MemoryModelConfig &mem = MemoryModelConfig{},
                     unsigned gshare_bits = 16);
 

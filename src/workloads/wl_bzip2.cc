@@ -96,10 +96,4 @@ prepareBzip2(const WorkloadConfig &cfg)
     return w;
 }
 
-Trace
-buildBzip2(const WorkloadConfig &cfg)
-{
-    return prepareBzip2(cfg).emulator->run(cfg.targetInstructions);
-}
-
 } // namespace csim

@@ -91,10 +91,4 @@ prepareCrafty(const WorkloadConfig &cfg)
     return w;
 }
 
-Trace
-buildCrafty(const WorkloadConfig &cfg)
-{
-    return prepareCrafty(cfg).emulator->run(cfg.targetInstructions);
-}
-
 } // namespace csim

@@ -78,10 +78,4 @@ prepareEon(const WorkloadConfig &cfg)
     return w;
 }
 
-Trace
-buildEon(const WorkloadConfig &cfg)
-{
-    return prepareEon(cfg).emulator->run(cfg.targetInstructions);
-}
-
 } // namespace csim

@@ -92,10 +92,4 @@ prepareGap(const WorkloadConfig &cfg)
     return w;
 }
 
-Trace
-buildGap(const WorkloadConfig &cfg)
-{
-    return prepareGap(cfg).emulator->run(cfg.targetInstructions);
-}
-
 } // namespace csim

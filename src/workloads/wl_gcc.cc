@@ -119,10 +119,4 @@ prepareGcc(const WorkloadConfig &cfg)
     return w;
 }
 
-Trace
-buildGcc(const WorkloadConfig &cfg)
-{
-    return prepareGcc(cfg).emulator->run(cfg.targetInstructions);
-}
-
 } // namespace csim

@@ -82,10 +82,4 @@ prepareGzip(const WorkloadConfig &cfg)
     return w;
 }
 
-Trace
-buildGzip(const WorkloadConfig &cfg)
-{
-    return prepareGzip(cfg).emulator->run(cfg.targetInstructions);
-}
-
 } // namespace csim

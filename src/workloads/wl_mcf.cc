@@ -70,10 +70,4 @@ prepareMcf(const WorkloadConfig &cfg)
     return w;
 }
 
-Trace
-buildMcf(const WorkloadConfig &cfg)
-{
-    return prepareMcf(cfg).emulator->run(cfg.targetInstructions);
-}
-
 } // namespace csim

@@ -83,10 +83,4 @@ prepareParser(const WorkloadConfig &cfg)
     return w;
 }
 
-Trace
-buildParser(const WorkloadConfig &cfg)
-{
-    return prepareParser(cfg).emulator->run(cfg.targetInstructions);
-}
-
 } // namespace csim

@@ -131,10 +131,4 @@ preparePerl(const WorkloadConfig &cfg)
     return w;
 }
 
-Trace
-buildPerl(const WorkloadConfig &cfg)
-{
-    return preparePerl(cfg).emulator->run(cfg.targetInstructions);
-}
-
 } // namespace csim

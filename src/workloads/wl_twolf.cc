@@ -88,10 +88,4 @@ prepareTwolf(const WorkloadConfig &cfg)
     return w;
 }
 
-Trace
-buildTwolf(const WorkloadConfig &cfg)
-{
-    return prepareTwolf(cfg).emulator->run(cfg.targetInstructions);
-}
-
 } // namespace csim

@@ -80,10 +80,4 @@ prepareVortex(const WorkloadConfig &cfg)
     return w;
 }
 
-Trace
-buildVortex(const WorkloadConfig &cfg)
-{
-    return prepareVortex(cfg).emulator->run(cfg.targetInstructions);
-}
-
 } // namespace csim

@@ -91,10 +91,4 @@ prepareVpr(const WorkloadConfig &cfg)
     return w;
 }
 
-Trace
-buildVpr(const WorkloadConfig &cfg)
-{
-    return prepareVpr(cfg).emulator->run(cfg.targetInstructions);
-}
-
 } // namespace csim

@@ -2,7 +2,7 @@
  * @file
  * Workload interface: each SPECint 2000 proxy is a function that builds
  * a Program in the mini-ISA, initialises simulated memory with seeded
- * random data, executes functionally and returns the raw dynamic trace.
+ * random data and hands back an emulator paused at the entry point.
  *
  * The proxies are not the SPEC sources; they are small programs that
  * reproduce the dataflow motifs the paper attributes to each benchmark
@@ -31,14 +31,12 @@ struct WorkloadConfig
     std::uint64_t seed = 1;
 };
 
-using WorkloadBuilder = Trace (*)(const WorkloadConfig &);
-
 /**
  * A workload paused at its entry point: program built, memory and
  * registers seeded, nothing executed yet. The streaming trace build
  * pulls the dynamic stream from here in bounded chunks
- * (Emulator::runChunk) instead of materializing it in one run() —
- * each buildX() is exactly prepareX() followed by a full run.
+ * (Emulator::runChunk); buildWorkloadTrace() is a preparer followed
+ * by one full run().
  */
 struct PreparedWorkload
 {
@@ -49,20 +47,7 @@ struct PreparedWorkload
 
 using WorkloadPreparer = PreparedWorkload (*)(const WorkloadConfig &);
 
-// One builder (and its paused prepare form) per SPECint 2000 proxy.
-Trace buildBzip2(const WorkloadConfig &cfg);
-Trace buildCrafty(const WorkloadConfig &cfg);
-Trace buildEon(const WorkloadConfig &cfg);
-Trace buildGap(const WorkloadConfig &cfg);
-Trace buildGcc(const WorkloadConfig &cfg);
-Trace buildGzip(const WorkloadConfig &cfg);
-Trace buildMcf(const WorkloadConfig &cfg);
-Trace buildParser(const WorkloadConfig &cfg);
-Trace buildPerl(const WorkloadConfig &cfg);
-Trace buildTwolf(const WorkloadConfig &cfg);
-Trace buildVortex(const WorkloadConfig &cfg);
-Trace buildVpr(const WorkloadConfig &cfg);
-
+// One paused-at-entry preparer per SPECint 2000 proxy.
 PreparedWorkload prepareBzip2(const WorkloadConfig &cfg);
 PreparedWorkload prepareCrafty(const WorkloadConfig &cfg);
 PreparedWorkload prepareEon(const WorkloadConfig &cfg);

@@ -141,9 +141,13 @@ TEST(CritPath, MispredictsAttributedToBranches)
     p.halt();
     p.finalize();
     Trace t = prepare(p);
-    for (std::size_t i = 0; i < t.size(); ++i)
-        if (t[i].isCondBranch)
-            t[i].mispredicted = true;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        TraceRecord rec = t[i];
+        if (rec.isCondBranch) {
+            rec.mispredicted = true;
+            t.set(i, rec);
+        }
+    }
 
     MachineConfig mc = MachineConfig::monolithic();
     SimResult res = run(t, mc);

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "emu/emulator.hh"
 #include "emu/memory.hh"
 
@@ -40,6 +42,38 @@ TEST(SparseMemory, PagesAllocatedLazily)
     m.write(0x0, 1);
     m.write(0x100000, 2);
     EXPECT_EQ(m.pageCount(), 2u);
+}
+
+TEST(Emulator, IntegerArithmeticWrapsAtInt64Extremes)
+{
+    constexpr std::int64_t max = std::numeric_limits<std::int64_t>::max();
+    constexpr std::int64_t min = std::numeric_limits<std::int64_t>::min();
+    Program p;
+    p.add(r(3), r(1), r(2));   // max + 1
+    p.sub(r(4), r(5), r(2));   // min - 1
+    p.mul(r(6), r(1), r(7));   // max * 3
+    p.addi(r(8), r(1), 1);     // max + 1
+    p.st(r(7), r(1), 9);       // store 3 at max + 9
+    p.ld(r(9), r(1), 9);
+    p.halt();
+    p.finalize();
+    Emulator emu(p);
+    emu.setReg(r(1), max);
+    emu.setReg(r(2), 1);
+    emu.setReg(r(5), min);
+    emu.setReg(r(7), 3);
+    const Trace t = emu.run(100);
+    ASSERT_EQ(t.size(), 6u);
+    EXPECT_EQ(emu.reg(r(3)), min);
+    EXPECT_EQ(emu.reg(r(4)), max);
+    // 3 * (2^63 - 1) mod 2^64 = 2^63 - 3.
+    EXPECT_EQ(emu.reg(r(6)), max - 2);
+    EXPECT_EQ(emu.reg(r(8)), min);
+    const Addr ea = Addr{1} << 63 | 8;
+    EXPECT_EQ(t[4].memAddr, ea);
+    EXPECT_EQ(t[5].memAddr, ea);
+    EXPECT_EQ(emu.peek(ea), 3);
+    EXPECT_EQ(emu.reg(r(9)), 3);
 }
 
 TEST(Emulator, IntegerArithmetic)

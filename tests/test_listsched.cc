@@ -54,9 +54,11 @@ TEST(Regions, SplitAtMispredictsAndCap)
     Trace t = prepare(p);
     // Force a mispredict at instruction 22 (a bne: the trace is lui
     // followed by addi/bne pairs).
-    for (std::size_t i = 0; i < t.size(); ++i)
-        t[i].mispredicted = false;
-    t[22].mispredicted = true;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        TraceRecord rec = t[i];
+        rec.mispredicted = i == 22;
+        t.set(i, rec);
+    }
     ASSERT_TRUE(t[22].isCondBranch);
 
     std::vector<Region> regions = splitRegions(t, 64);
@@ -197,9 +199,13 @@ TEST(ListSched, MispredictRedirectSerializesRegions)
     Trace t = prepare(p);
     // All iterations mispredict: every 2-instruction region pays the
     // redirect.
-    for (std::size_t i = 0; i < t.size(); ++i)
-        if (t[i].isCondBranch)
-            t[i].mispredicted = true;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        TraceRecord rec = t[i];
+        if (rec.isCondBranch) {
+            rec.mispredicted = true;
+            t.set(i, rec);
+        }
+    }
     SimResult ref = refRun(t);
 
     ListSchedResult res = listSchedule(

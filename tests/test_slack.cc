@@ -87,9 +87,13 @@ TEST(Slack, MispredictedBranchHasZeroSlack)
     p.halt();
     p.finalize();
     Trace t = prepare(p);
-    for (std::size_t i = 0; i < t.size(); ++i)
-        if (t[i].isCondBranch)
-            t[i].mispredicted = true;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        TraceRecord rec = t[i];
+        if (rec.isCondBranch) {
+            rec.mispredicted = true;
+            t.set(i, rec);
+        }
+    }
     SimResult res = run(t);
     SlackAnalysis sa =
         analyzeSlack(t, res, MachineConfig::monolithic());

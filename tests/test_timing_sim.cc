@@ -203,9 +203,13 @@ TEST(TimingSim, MispredictedBranchStallsFetch)
     Trace t = prepare(p);
 
     // Force the branch to be a misprediction.
-    for (std::size_t i = 0; i < t.size(); ++i)
-        if (t[i].isCondBranch)
-            t[i].mispredicted = true;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        TraceRecord rec = t[i];
+        if (rec.isCondBranch) {
+            rec.mispredicted = true;
+            t.set(i, rec);
+        }
+    }
     ASSERT_TRUE(t[1].mispredicted);
 
     SimResult res = runMono(t);
@@ -229,8 +233,11 @@ TEST(TimingSim, CorrectlyPredictedBranchDoesNotStall)
     p.halt();
     p.finalize();
     Trace t = prepare(p);
-    for (std::size_t i = 0; i < t.size(); ++i)
-        t[i].mispredicted = false;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        TraceRecord rec = t[i];
+        rec.mispredicted = false;
+        t.set(i, rec);
+    }
 
     SimResult res = runMono(t);
     // Taken branch ends the fetch group; the target comes next cycle.

@@ -119,7 +119,9 @@ TEST(TraceWellFormed, DetectsCorruptLinks)
     ASSERT_TRUE(t.wellFormed());
 
     // Forward-pointing producer: malformed.
-    t[10].prod[srcSlot1] = 150;
+    TraceRecord rec = t[10];
+    rec.prod[srcSlot1] = 150;
+    t.set(10, rec);
     EXPECT_FALSE(t.wellFormed());
 }
 
@@ -127,12 +129,15 @@ TEST(TraceWellFormed, DetectsClassMismatchAndZeroLatency)
 {
     const Trace t = smallTrace("vpr", 100, 1);
     Trace t2 = t;
-    t2[5].cls = t2[5].cls == OpClass::Load ? OpClass::IntAlu
-                                           : OpClass::Load;
+    TraceRecord rec = t[5];
+    rec.cls = rec.cls == OpClass::Load ? OpClass::IntAlu : OpClass::Load;
+    t2.set(5, rec);
     EXPECT_FALSE(t2.wellFormed());
 
     Trace t3 = t;
-    t3[5].execLat = 0;
+    rec = t[5];
+    rec.execLat = 0;
+    t3.set(5, rec);
     EXPECT_FALSE(t3.wellFormed());
 }
 

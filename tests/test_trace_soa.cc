@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the structure-of-arrays trace view and the timing core
- * that consumes it: AoS <-> SoA round-trips over every registered
+ * Tests for the column trace and its read-only view, and the timing
+ * core that consumes it: record round-trips over every registered
  * workload, footprint accounting, and exact timing on synthetic
  * sparse traces where the machine sits idle between wakeups.
  */
@@ -66,63 +66,90 @@ TEST(TraceSoA, RoundTripsEveryRegisteredWorkload)
         WorkloadConfig wcfg;
         wcfg.targetInstructions = 2000;
         wcfg.seed = 1;
-        const Trace trace = buildAnnotatedTrace(name, wcfg);
-        ASSERT_TRUE(trace.wellFormed());
+        const Trace built = buildAnnotatedTrace(name, wcfg);
+        ASSERT_TRUE(built.wellFormed());
 
-        const TraceSoA &soa = trace.soa();
-        ASSERT_EQ(soa.size(), trace.size());
+        // Records appended one by one read back field for field, from
+        // the trace and from its column view.
+        std::vector<TraceRecord> records;
+        Trace trace;
+        for (std::size_t i = 0; i < built.size(); ++i) {
+            records.push_back(built[i]);
+            trace.append(built[i]);
+        }
+        const TraceSoA soa = trace.soa();
+        ASSERT_EQ(trace.size(), records.size());
+        ASSERT_EQ(soa.size(), records.size());
 
         std::uint64_t links = 0;
-        for (std::size_t i = 0; i < trace.size(); ++i) {
-            // Per-field columns and the reassembled record agree with
-            // the AoS source.
-            expectRecordEq(soa.record(i), trace[i], i);
-            EXPECT_EQ(soa.pc()[i], trace[i].pc);
-            EXPECT_EQ(soa.cls()[i], trace[i].cls);
-            EXPECT_EQ(soa.execLat()[i], trace[i].execLat);
-            EXPECT_EQ(soa.hasDest(i), trace[i].hasDest());
-            EXPECT_EQ(soa.isLoad(i), trace[i].isLoad());
-            EXPECT_EQ(soa.isStore(i), trace[i].isStore());
-            EXPECT_EQ(soa.isBranch(i), trace[i].isBranch);
-            EXPECT_EQ(soa.mispredicted(i), trace[i].mispredicted);
-            EXPECT_EQ(soa.l1Miss(i), trace[i].l1Miss);
+        for (std::size_t i = 0; i < records.size(); ++i) {
+            const TraceRecord &rec = records[i];
+            expectRecordEq(trace[i], rec, i);
+            expectRecordEq(soa.record(i), rec, i);
+            EXPECT_EQ(soa.pc()[i], rec.pc);
+            EXPECT_EQ(soa.cls()[i], rec.cls);
+            EXPECT_EQ(soa.execLat()[i], rec.execLat);
+            EXPECT_EQ(soa.hasDest(i), rec.hasDest());
+            EXPECT_EQ(soa.isLoad(i), rec.isLoad());
+            EXPECT_EQ(soa.isStore(i), rec.isStore());
+            EXPECT_EQ(soa.isBranch(i), rec.isBranch);
+            EXPECT_EQ(soa.mispredicted(i), rec.mispredicted);
+            EXPECT_EQ(soa.l1Miss(i), rec.l1Miss);
             for (int s = 0; s < numSrcSlots; ++s) {
-                EXPECT_EQ(soa.prod(s)[i], trace[i].prod[s]);
-                if (trace[i].prod[s] != invalidInstId)
+                EXPECT_EQ(soa.prod(s)[i], rec.prod[s]);
+                if (rec.prod[s] != invalidInstId)
                     ++links;
             }
         }
+        EXPECT_GT(links, 0u);
         EXPECT_EQ(soa.producerLinks(), links);
+        EXPECT_EQ(built.soa().producerLinks(), links);
+        expectStatsEq(trace.stats(), built.stats());
 
-        // Whole-trace round trip preserves every record and the
-        // aggregate statistics.
-        const Trace back = soa.toTrace();
-        ASSERT_EQ(back.size(), trace.size());
-        for (std::size_t i = 0; i < trace.size(); ++i)
-            expectRecordEq(back[i], trace[i], i);
-        expectStatsEq(soa.stats(), trace.stats());
-        expectStatsEq(back.stats(), trace.stats());
+        // set() keeps the link count exact as links come and go.
+        Trace edited = trace;
+        TraceRecord rec = edited[1];
+        const InstId old_link = rec.prod[srcSlot1];
+        rec.prod[srcSlot1] = invalidInstId;
+        edited.set(1, rec);
+        EXPECT_EQ(edited.soa().producerLinks(),
+                  links - (old_link != invalidInstId));
+        rec.prod[srcSlot1] = 0;
+        edited.set(1, rec);
+        EXPECT_EQ(edited.soa().producerLinks(),
+                  links + (old_link == invalidInstId));
     }
 }
 
-TEST(TraceSoA, FootprintCountsRecordsAndArena)
+TEST(TraceSoA, FootprintIsTheColumnsAndTheViewIsNotACopy)
 {
     WorkloadConfig wcfg;
     wcfg.targetInstructions = 1000;
     wcfg.seed = 1;
-    Trace trace = buildAnnotatedTrace(workloadNames().front(), wcfg);
+    const Trace trace = buildAnnotatedTrace(workloadNames().front(), wcfg);
+    ASSERT_EQ(trace.size(), 1000u);
 
-    const std::size_t aos_bytes =
-        trace.size() * sizeof(TraceRecord);
-    EXPECT_EQ(trace.footprintBytes(), aos_bytes);
+    EXPECT_EQ(Trace::rowBytes, 47u);
+    EXPECT_EQ(trace.footprintBytes(), 47 * trace.size());
 
-    const TraceSoA &soa = trace.soa();
-    EXPECT_GT(soa.arenaBytes(), 0u);
-    EXPECT_EQ(trace.footprintBytes(), aos_bytes + soa.arenaBytes());
-
-    // Mutation drops the cached view (and its bytes) again.
-    trace[0].execLat = trace[0].execLat;
-    EXPECT_EQ(trace.footprintBytes(), aos_bytes);
+    // The view points at the trace's own columns: two views share
+    // every column pointer, and a row read through either is the
+    // trace's row.
+    const TraceSoA a = trace.soa();
+    const TraceSoA b = trace.soa();
+    EXPECT_EQ(a.pc().data(), b.pc().data());
+    EXPECT_EQ(a.memAddr().data(), b.memAddr().data());
+    for (int s = 0; s < numSrcSlots; ++s)
+        EXPECT_EQ(a.prod(s).data(), b.prod(s).data());
+    EXPECT_EQ(a.op().data(), b.op().data());
+    EXPECT_EQ(a.flags().data(), b.flags().data());
+    EXPECT_EQ(a.src2().data(), b.src2().data());
+    EXPECT_EQ(&a.pc()[7], &b.pc()[7]);
+    EXPECT_EQ(a.pc()[7], trace[7].pc);
+    // A copy of the trace owns its own columns.
+    const Trace copy = trace;
+    EXPECT_NE(copy.soa().pc().data(), a.pc().data());
+    EXPECT_EQ(copy.footprintBytes(), trace.footprintBytes());
 }
 
 /** A serial dependence chain of uniformly long-latency instructions:
@@ -141,8 +168,11 @@ sparseSerialChain(unsigned length, std::uint8_t lat)
     t.linkProducers();
     annotateBranches(t);
     annotateMemory(t);
-    for (std::size_t i = 0; i < t.size(); ++i)
-        t[i].execLat = lat;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        TraceRecord rec = t[i];
+        rec.execLat = lat;
+        t.set(i, rec);
+    }
     return t;
 }
 

@@ -89,7 +89,7 @@ TEST(TraceStore, RoundTripPreservesEverything)
     EXPECT_EQ(info.instructions, original.size());
     EXPECT_GT(info.fileBytes, 0u);
     EXPECT_EQ(soa.producerLinks(),
-              TraceSoA(original).producerLinks());
+              original.soa().producerLinks());
     std::remove(path.c_str());
 }
 
@@ -200,7 +200,7 @@ TEST(TraceStore, BuildTraceStoreFileMatchesMonolithicBuild)
 TEST(TraceStore, ExtractRegionRebasesProducerLinks)
 {
     const Trace original = smallTrace("twolf", 2000, 4);
-    const TraceSoA soa(original);
+    const TraceSoA soa = original.soa();
 
     const std::uint64_t base = 700;
     const std::uint64_t len = 500;
@@ -228,7 +228,7 @@ TEST(TraceStore, ExtractRegionRebasesProducerLinks)
 TEST(TraceStore, ExtractRegionClampsAtTraceEnd)
 {
     const Trace original = smallTrace("vpr", 300, 2);
-    const TraceSoA soa(original);
+    const TraceSoA soa = original.soa();
     const Trace tail = extractRegion(soa, original.size() - 50,
                                      1000000);
     EXPECT_EQ(tail.size(), 50u);
@@ -250,8 +250,8 @@ TEST(TraceStore, ColumnViewSimulatesIdentically)
     AgeScheduling age;
     const MachineConfig mc = MachineConfig::clustered(4);
     const SimResult a = TimingSim(mc, original, s1, age).run();
-    // The mmap-backed view has no AoS trace behind it at all:
-    // record() reassembles rows from the mapped columns on demand.
+    // The mmap-backed view has no Trace behind it at all: record()
+    // reassembles rows from the mapped columns on demand.
     const SimResult b = TimingSim(mc, soa, s2, age).run();
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.instructions, b.instructions);
@@ -328,7 +328,7 @@ TEST(TraceStorePhases, WarmupPhaseIsExcludedFromTotals)
 TEST(TraceStoreRegions, RegionSampledCellIsDeterministic)
 {
     const Trace trace = smallTrace("gzip", 8000, 3);
-    const TraceSoA soa(trace);
+    const TraceSoA soa = trace.soa();
 
     ExperimentConfig cfg;
     cfg.instructions = trace.size();
@@ -360,7 +360,7 @@ TEST(TraceStoreRegions, RegionSampledCellIsDeterministic)
 TEST(TraceStoreRegions, SampledSubsetIsCheaperThanFullRun)
 {
     const Trace trace = smallTrace("gzip", 8000, 3);
-    const TraceSoA soa(trace);
+    const TraceSoA soa = trace.soa();
     ExperimentConfig cfg;
     cfg.instructions = trace.size();
     cfg.regions = 2;
@@ -378,7 +378,7 @@ TEST(TraceStoreRegions, ExactFitBudgetAndSingleRegionAreAccepted)
     // k * (warmup + len) == n is the largest legal budget; with one
     // region the span may cover the whole store.
     const Trace trace = smallTrace("gzip", 4000, 3);
-    const TraceSoA soa(trace);
+    const TraceSoA soa = trace.soa();
     ExperimentConfig cfg;
     cfg.instructions = trace.size();
     cfg.regions = 4;
@@ -403,7 +403,7 @@ TEST(TraceStoreRegionsDeath, RegionBudgetExceedingStoreIsFatal)
     // silent wrong answer. The second pair sums to 2^64, which wraps
     // to 0 in a naive warmup + len check.
     const Trace trace = smallTrace("gzip", 8000, 3);
-    const TraceSoA soa(trace);
+    const TraceSoA soa = trace.soa();
     const std::pair<std::uint64_t, std::uint64_t> pairs[] = {
         {200, 1900}, {UINT64_MAX, 1}};
     for (const auto &[warmup, len] : pairs) {
@@ -424,7 +424,7 @@ TEST(TraceStoreRegionsDeath, RegionBudgetExceedingStoreIsFatal)
 TEST(TraceStoreRegionsDeath, RegionCountExceedingStoreIsFatal)
 {
     const Trace trace = smallTrace("vpr", 300, 2);
-    const TraceSoA soa(trace);
+    const TraceSoA soa = trace.soa();
     ExperimentConfig cfg;
     cfg.instructions = trace.size();
     cfg.regions = trace.size() + 1;
@@ -438,7 +438,7 @@ TEST(TraceStoreRegionsDeath, RegionCountExceedingStoreIsFatal)
 TEST(TraceStoreRegionsDeath, ZeroRegionLenIsFatal)
 {
     const Trace trace = smallTrace("vpr", 300, 2);
-    const TraceSoA soa(trace);
+    const TraceSoA soa = trace.soa();
     ExperimentConfig cfg;
     cfg.instructions = trace.size();
     cfg.regions = 2;

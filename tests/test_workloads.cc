@@ -159,12 +159,12 @@ TEST(WorkloadRegistry, TwelveBenchmarks)
 {
     EXPECT_EQ(workloadNames().size(), 12u);
     for (const std::string &n : workloadNames())
-        EXPECT_NE(workloadBuilder(n), nullptr);
+        EXPECT_NE(workloadPreparer(n), nullptr);
 }
 
 TEST(WorkloadRegistryDeath, UnknownNameFatals)
 {
-    EXPECT_EXIT(workloadBuilder("quake3"),
+    EXPECT_EXIT(workloadPreparer("quake3"),
                 ::testing::ExitedWithCode(1), "unknown workload");
 }
 

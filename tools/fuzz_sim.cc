@@ -162,8 +162,8 @@ compareStats(const char *what, const StatsSnapshot &a,
 /**
  * Round-trip the case's trace through the columnar store (save →
  * mmap-load → simulate) and check the loaded copy reproduces the
- * original run byte for byte, both through the rebuilt-AoS pipeline
- * and straight off the mmap-ed column view.
+ * original run byte for byte, both through a trace copied back out
+ * of the store and straight off the mmap-ed column view.
  */
 std::string
 checkStoreRoundTrip(const Trace &trace, const MachineConfig &config,
@@ -184,7 +184,7 @@ checkStoreRoundTrip(const Trace &trace, const MachineConfig &config,
     if (soa.size() != trace.size())
         return "store: instruction count changed in round trip";
 
-    // Rebuilt-AoS path: identical inputs through the identical
+    // Copied-back path: identical inputs through the identical
     // harness must give identical outputs.
     const Trace rebuilt = extractRegion(soa, 0, soa.size());
     const PolicyRun replay = runPolicy(rebuilt, config, kind, cfg);
@@ -200,8 +200,8 @@ checkStoreRoundTrip(const Trace &trace, const MachineConfig &config,
         return diff;
 
     // Column-view path: the sim reading records straight out of the
-    // mapping (no AoS trace behind it) must agree with the same bare
-    // run on the original trace.
+    // mapping (no Trace behind it) must agree with the same bare run
+    // on the original trace.
     {
         ModNSteering steer_aos, steer_soa;
         AgeScheduling sched_aos, sched_soa;
