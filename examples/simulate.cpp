@@ -87,7 +87,8 @@ parse(int argc, char **argv)
                 parseFlagValue("simulate", "--width", next(), 1, 64));
         } else if (a == "--fwd") {
             o.fwd = static_cast<unsigned>(
-                parseFlagValue("simulate", "--fwd", next(), 0, 64));
+                parseFlagValue("simulate", "--fwd", next(), 0,
+                               maxFwdLatency));
         } else if (a == "--policy") {
             o.policy = next();
         } else if (a == "--instructions") {

@@ -1,17 +1,14 @@
 /**
  * @file
  * Per-cluster execution state: the scheduling window occupancy, the
- * not-yet-ready/ready instruction queues, and per-cycle port accounting.
+ * ready instruction set, and per-cycle port accounting.
  */
 
 #ifndef CSIM_CORE_CLUSTER_HH
 #define CSIM_CORE_CLUSTER_HH
 
-#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -24,15 +21,13 @@ namespace csim {
 
 /**
  * One cluster: a scheduling window plus issue ports. Instructions enter
- * at steer time (occupying a window entry), move from `pending` to
- * `readyNow` when their operands arrive, and leave the window at issue.
+ * at steer time (occupying a window entry), join `readyNow` on the
+ * cycle their operands arrive, and leave the window at issue.
  *
- * The pending queue is a flat binary min-heap over (ready cycle, id)
- * kept with std::push_heap/pop_heap — the same comparator and pop
- * order a std::priority_queue would give, but with the storage
- * reservable and the minimum inspectable (nextPendingCycle() is what
- * lets the timing core skip the promote scan on cycles with no wakeup
- * due).
+ * The cluster holds no queue of future wakeups: the timing core keeps
+ * one cycle-indexed wakeup wheel for the whole machine and, at the top
+ * of each issue stage, appends that cycle's wakeups to their clusters'
+ * `readyNow` sets.
  */
 class Cluster
 {
@@ -40,7 +35,6 @@ class Cluster
     Cluster(const ClusterPorts &ports, unsigned window_entries)
         : ports_(ports), windowEntries_(window_entries)
     {
-        pending_.reserve(window_entries);
         readyNow_.reserve(window_entries);
     }
 
@@ -82,15 +76,6 @@ class Cluster
             ++*statEntered_;
     }
 
-    /** Queue an instruction that becomes ready at the given cycle. */
-    void
-    markReady(InstId id, Cycle when)
-    {
-        pending_.emplace_back(when, id);
-        std::push_heap(pending_.begin(), pending_.end(),
-                       std::greater<>{});
-    }
-
     /**
      * Occupancy sampling is deferred: instead of feeding the histogram
      * every cycle, each occupancy *change* during cycle `now` first
@@ -121,29 +106,6 @@ class Cluster
                                         cycles - occSampleFrom_);
         occSampleFrom_ = cycles;
     }
-
-    /** Move everything ready by `now` into the issuable set. */
-    void
-    promoteReady(Cycle now)
-    {
-        while (!pending_.empty() && pending_.front().first <= now) {
-            readyNow_.push_back(pending_.front().second);
-            std::pop_heap(pending_.begin(), pending_.end(),
-                          std::greater<>{});
-            pending_.pop_back();
-        }
-    }
-
-    /** Earliest cycle any pending instruction becomes ready
-     *  (invalidCycle when the pending queue is empty). */
-    Cycle
-    nextPendingCycle() const
-    {
-        return pending_.empty() ? invalidCycle : pending_.front().first;
-    }
-
-    /** No instruction is currently contending to issue. */
-    bool readyEmpty() const { return readyNow_.empty(); }
 
     /** Instructions whose operands are available (contending to issue). */
     std::vector<InstId> &readyNow() { return readyNow_; }
@@ -192,8 +154,6 @@ class Cluster
     };
 
   private:
-    using PendingEntry = std::pair<Cycle, InstId>;
-
     ClusterPorts ports_;
     unsigned windowEntries_;
     unsigned occupancy_ = 0;
@@ -203,8 +163,6 @@ class Cluster
     std::vector<std::uint8_t> occBucket_;
     /** First cycle whose occupancy sample is not yet folded. */
     Cycle occSampleFrom_ = 0;
-    /** Min-heap on (ready cycle, id); front() is the minimum. */
-    std::vector<PendingEntry> pending_;
     std::vector<InstId> readyNow_;
 };
 

@@ -67,6 +67,10 @@ MachineConfig::validationError() const
         return "robEntries must be >= 1";
     if (fetchWidth < 1 || dispatchWidth < 1 || commitWidth < 1)
         return "fetch/dispatch/commit widths must be >= 1";
+    if (fwdLatency > maxFwdLatency)
+        return "fwdLatency " + std::to_string(fwdLatency) +
+            " exceeds the supported maximum of " +
+            std::to_string(maxFwdLatency);
     return "";
 }
 

@@ -21,6 +21,14 @@ namespace csim {
  */
 inline constexpr unsigned maxClusters = 16;
 
+/**
+ * Largest supported inter-cluster forwarding latency. The timing core's
+ * wakeup wheel is sized by the furthest wakeup (the longest execution
+ * latency plus this bypass), so an unbounded latency is rejected up
+ * front instead of sizing an arbitrarily large wheel.
+ */
+inline constexpr unsigned maxFwdLatency = 64;
+
 /** Issue resources of one cluster. */
 struct ClusterPorts
 {
@@ -81,7 +89,8 @@ struct MachineConfig
      * Structural validity: cluster count within the bit-mask capacity
      * of the timing core (<= maxClusters), every stage width and port
      * count nonzero (a cluster missing a port class deadlocks the
-     * in-order steer stage), and nonzero window/ROB capacity. Returns
+     * in-order steer stage), nonzero window/ROB capacity, and a
+     * forwarding latency of at most maxFwdLatency. Returns
      * "" when valid, else a description of the first problem.
      */
     std::string validationError() const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <type_traits>
 
@@ -84,7 +85,20 @@ TimingSim::TimingSim(const MachineConfig &config, const TraceSoA &soa,
     CSIM_ASSERT(links < noWaiter);
     waiterPoolCap_ = static_cast<std::uint32_t>(links);
 
+    // Wakeup wheel geometry (see the members' comment): the furthest
+    // wakeup is a 255-cycle op issued this cycle feeding a consumer
+    // on another cluster.
+    const std::uint64_t max_reach =
+        std::numeric_limits<std::uint8_t>::max() + config_.fwdLatency;
+    const std::size_t wheel_buckets = std::bit_ceil(max_reach + 1);
+    const std::size_t wheel_ring = std::bit_ceil(
+        static_cast<std::uint64_t>(config_.robEntries));
+    wheelMask_ = wheel_buckets - 1;
+    wheelRingMask_ = wheel_ring - 1;
+
     const std::size_t arena_bytes =
+        wheel_buckets * sizeof(InstId) +     // wheel bucket heads
+        wheel_ring * sizeof(InstId) +        // wheel links
         n * sizeof(std::uint64_t) +          // prioKey
         n * sizeof(Cycle) +                  // partialReady
         links * sizeof(std::uint64_t) +      // waiter pool: id|slot
@@ -104,6 +118,10 @@ TimingSim::TimingSim(const MachineConfig &config, const TraceSoA &soa,
     // harness never pays for an O(n) copy-out.
     timingStore_.resize(n);
     timing_ = timingStore_.data();
+    wheelHead_ = reinterpret_cast<InstId *>(
+        take(wheel_buckets * sizeof(InstId)));
+    wheelNext_ = reinterpret_cast<InstId *>(
+        take(wheel_ring * sizeof(InstId)));
     prioKey_ = reinterpret_cast<std::uint64_t *>(
         take(n * sizeof(std::uint64_t)));
     partialReady_ = reinterpret_cast<Cycle *>(take(n * sizeof(Cycle)));
@@ -120,6 +138,8 @@ TimingSim::TimingSim(const MachineConfig &config, const TraceSoA &soa,
     pendingOps_ = reinterpret_cast<std::uint8_t *>(take(n));
     CSIM_ASSERT(cursor == sideArena_.get() + arena_bytes);
 
+    static_assert(invalidInstId == ~InstId{0});
+    std::memset(wheelHead_, 0xFF, wheel_buckets * sizeof(InstId));
     std::memset(prioKey_, 0, n * sizeof(std::uint64_t));
     std::memset(partialReady_, 0, n * sizeof(Cycle));
     std::memset(waiterHead_, 0xFF, n * sizeof(std::uint32_t));
@@ -492,26 +512,35 @@ TimingSim::stuckPanic()
 }
 
 void
+TimingSim::scheduleReady(InstId id, Cycle when)
+{
+    // A zero-latency op (execLat 0, which Trace::wellFormed rejects)
+    // would wake its consumers in the past, and a wakeup beyond the
+    // wheel's reach would land a full revolution late: both are fatal
+    // rather than silently mistimed.
+    CSIM_ASSERT(when > now_ && when - now_ <= wheelMask_);
+    InstId &head = wheelHead_[when & wheelMask_];
+    wheelNext_[id & wheelRingMask_] = head;
+    head = id;
+}
+
+void
 TimingSim::doIssue()
 {
-    // Promote pending wakeups only on cycles where one is due; the
-    // bound is the exact cross-cluster minimum (see its declaration),
-    // so skipping the scan can never miss a promotion. Issues this
-    // cycle queue wakeups strictly in the future (execLat >= 1), so
-    // promoting every cluster up front is equivalent to the old
-    // promote-then-issue interleave.
-    if (now_ >= nextPendingBound_) {
-        Cycle next = invalidCycle;
-        for (std::size_t ci = 0; ci < clusters_.size(); ++ci) {
-            Cluster &cluster = clusters_[ci];
-            cluster.promoteReady(now_);
-            if (!cluster.readyEmpty())
-                readyMask_ |= static_cast<std::uint16_t>(1u << ci);
-            const Cycle p = cluster.nextPendingCycle();
-            if (p < next)
-                next = p;
+    // Move this cycle's wakeups into their clusters' ready sets. The
+    // issue stage sorts each ready set by its unique priority key, so
+    // the order they are linked in does not matter. Issues below only
+    // schedule wakeups for later cycles (scheduleReady asserts it), so
+    // one drain up front sees every wakeup due now.
+    InstId &head = wheelHead_[now_ & wheelMask_];
+    if (head != invalidInstId) {
+        for (InstId id = head; id != invalidInstId;
+             id = wheelNext_[id & wheelRingMask_]) {
+            const ClusterId c = timing_[id].cluster;
+            clusters_[c].readyNow().push_back(id);
+            readyMask_ |= static_cast<std::uint16_t>(1u << c);
         }
-        nextPendingBound_ = next;
+        head = invalidInstId;
     }
 
     if (readyMask_ == 0) {
@@ -603,9 +632,7 @@ TimingSim::doIssue()
                 CSIM_ASSERT(pendingOps_[wid] > 0);
                 if (--pendingOps_[wid] == 0) {
                     timing_[wid].ready = partialReady_[wid];
-                    clusters_[wc].markReady(wid, partialReady_[wid]);
-                    if (partialReady_[wid] < nextPendingBound_)
-                        nextPendingBound_ = partialReady_[wid];
+                    scheduleReady(wid, partialReady_[wid]);
                 }
             }
             waiterHead_[id] = noWaiter;
@@ -687,6 +714,12 @@ TimingSim::doSteer()
         }
 
         const TraceRecord rec = soa_.record(id);
+        // Every producer link must point backwards. A link to this or
+        // a later row would make the policy and the operand resolution
+        // below read timing that is not filled in yet (or lies past
+        // the trace) and simulate a plausible but wrong CPI.
+        for (const InstId p : rec.prod)
+            CSIM_ASSERT(p < id || p == invalidInstId);
         SteerRequest req{id, &rec};
         SteerDecision d = steering_.steer(*this, req);
         if (d.stall) {
@@ -759,9 +792,7 @@ TimingSim::doSteer()
         pendingOps_[id] = static_cast<std::uint8_t>(pending);
         if (pending == 0) {
             t.ready = ready;
-            clusters_[d.cluster].markReady(id, ready);
-            if (ready < nextPendingBound_)
-                nextPendingBound_ = ready;
+            scheduleReady(id, ready);
         }
 
         for (SimObserver *obs : observers_)

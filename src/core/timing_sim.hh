@@ -199,6 +199,11 @@ class TimingSim : public CoreView
     Cycle availTime(InstId producer, ClusterId consumer_cluster,
                     int slot) const;
 
+    /** Put an instruction whose operands all arrive at cycle `when`
+     *  on the wakeup wheel; doIssue moves it to its cluster's ready
+     *  set at the top of that cycle. */
+    void scheduleReady(InstId id, Cycle when);
+
     /** Record a cross-cluster value delivery (for the traffic stats,
      *  attributed to the consumer's steering outcome). */
     void noteGlobalDelivery(InstId producer, InstId consumer,
@@ -248,13 +253,6 @@ class TimingSim : public CoreView
      *  stage visits only those clusters. readyNow_ is only mutated by
      *  doIssue, which keeps the mask exact. */
     std::uint16_t readyMask_ = 0;
-    /**
-     * Exact minimum of nextPendingCycle() across clusters: folded on
-     * every markReady and recomputed by the promote scan (the only
-     * place pending entries are removed). Lets the issue stage skip
-     * the per-cluster promote scan on cycles with no wakeup due.
-     */
-    Cycle nextPendingBound_ = invalidCycle;
 
     // ----------------------------------------------------------------
     // Per-instruction side tables (indexed by trace position), carved
@@ -283,6 +281,22 @@ class TimingSim : public CoreView
     std::uint8_t *pendingOps_ = nullptr;
     std::uint32_t waiterPoolCap_ = 0;
     std::uint32_t waiterPoolUsed_ = 0;
+
+    /**
+     * The wakeup wheel: bucket `c & wheelMask_` holds the instructions
+     * whose operands all arrive at cycle c, as an intrusive singly-
+     * linked list (invalidInstId ends it). A wakeup lands at most one
+     * execution latency (a uint8_t column) plus one bypass ahead, and
+     * the wheel has more buckets than that, so a bucket is always
+     * drained before it is reused. The links live in a ring indexed by
+     * `id & wheelRingMask_`: an instruction on the wheel is steered
+     * but not yet issued, so it lies in [commitIdx_, steerIdx_], a
+     * range no wider than the ROB, and the ring is bit_ceil(ROB) long.
+     */
+    InstId *wheelHead_ = nullptr;
+    InstId *wheelNext_ = nullptr;
+    Cycle wheelMask_ = 0;
+    std::uint64_t wheelRingMask_ = 0;
 
     // ----------------------------------------------------------------
     // Phase bookkeeping (see SimOptions::phases). An unphased run pays

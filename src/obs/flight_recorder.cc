@@ -106,8 +106,10 @@ renderDump(const char *reason, Emit &&emit)
                   reason ? reason : "?");
     emit(line);
     if (g_replay[0] != '\0') {
-        std::snprintf(line, sizeof(line), "replay: %s\n", g_replay);
-        emit(line);
+        // The command can be longer than `line`: emit it in place.
+        emit("replay: ");
+        emit(g_replay);
+        emit("\n");
     }
     for (std::size_t t = 0; t < FlightRecorder::maxThreads; ++t) {
         Ring &ring = g_rings[t];

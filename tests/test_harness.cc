@@ -56,6 +56,17 @@ TEST(MachineConfigs, GenericGeometry)
     EXPECT_EQ(g.totalWidth(), 16u);
 }
 
+TEST(MachineConfigs, ForwardingLatencyIsBounded)
+{
+    MachineConfig mc = MachineConfig::clustered(2);
+    mc.fwdLatency = maxFwdLatency;
+    EXPECT_EQ(mc.validationError(), "");
+    mc.fwdLatency = maxFwdLatency + 1;
+    const std::string err = mc.validationError();
+    EXPECT_NE(err.find("fwdLatency 65"), std::string::npos) << err;
+    EXPECT_NE(err.find("maximum of 64"), std::string::npos) << err;
+}
+
 TEST(Harness, PolicyNamesExist)
 {
     for (PolicyKind k :

@@ -452,6 +452,19 @@ TEST_F(FlightRecorderTest, DumpContainsRingContextAndReplay)
     EXPECT_NE(dump.find("[-2] event-alpha"), std::string::npos);
 }
 
+TEST_F(FlightRecorderTest, DumpKeepsLongReplayCommandWhole)
+{
+    // Longer than a dump line's buffer, shorter than the stored
+    // command's capacity: the dump must not cut it.
+    std::string command = "bench_xyz";
+    while (command.size() < 900)
+        command += " --seeds " + std::to_string(command.size());
+    command.resize(900);
+    FlightRecorder::install(command);
+    const std::string dump = FlightRecorder::dumpToString("long");
+    EXPECT_NE(dump.find("replay: " + command + "\n"), std::string::npos);
+}
+
 TEST_F(FlightRecorderTest, RingKeepsOnlyLastEntries)
 {
     FlightRecorder::install("cmd");

@@ -417,5 +417,102 @@ TEST(TimingSim, MonolithicNeverForwards)
         EXPECT_EQ(ti.crossMask, 0);
 }
 
+/** A hand-built trace of n independent one-cycle integer ops; tests
+ *  wire producers and latencies in with Trace::set. */
+Trace
+independentOps(std::size_t n)
+{
+    Trace t;
+    for (std::size_t i = 0; i < n; ++i) {
+        TraceRecord rec;
+        rec.pc = 0x1000 + 4 * i;
+        rec.op = Opcode::Add;
+        rec.cls = OpClass::IntAlu;
+        t.append(rec);
+    }
+    return t;
+}
+
+TEST(TimingSim, WakeupAtTheWheelsFurthestReach)
+{
+    // Row 0 takes 255 cycles (the largest execLat) and feeds rows 1
+    // and 9 on the other cluster over the longest bypass the config
+    // allows. Row 1 is steered with row 0 and woken when row 0
+    // issues; row 9 is steered in the cycle row 0 issues and resolves
+    // it at steer. Both wakeups land 255 + maxFwdLatency cycles ahead.
+    Trace t = independentOps(16);
+    TraceRecord rec = t[0];
+    rec.op = Opcode::Mul;
+    rec.cls = OpClass::IntMul;
+    rec.execLat = 255;
+    t.set(0, rec);
+    for (std::size_t consumer : {1, 9}) {
+        rec = t[consumer];
+        rec.prod[srcSlot1] = 0;
+        t.set(consumer, rec);
+    }
+    ASSERT_TRUE(t.wellFormed());
+
+    MachineConfig mc = MachineConfig::clustered(2);
+    mc.fwdLatency = maxFwdLatency;
+    ModNSteering modn;
+    SimResult res = runOn(t, mc, modn);
+    validateTiming(t, res, mc);
+
+    const InstTiming &prod = res.timing[0];
+    EXPECT_EQ(prod.dispatch, Cycle{mc.frontendDepth});
+    EXPECT_EQ(prod.issue, prod.dispatch + 1);
+    const Cycle arrival = prod.issue + 255 + maxFwdLatency;
+    for (std::size_t consumer : {1, 9}) {
+        SCOPED_TRACE("consumer " + std::to_string(consumer));
+        const InstTiming &ct = res.timing[consumer];
+        EXPECT_NE(ct.cluster, prod.cluster);
+        EXPECT_EQ(ct.ready, arrival);
+        EXPECT_EQ(ct.issue, arrival);
+    }
+    EXPECT_EQ(res.timing[1].dispatch, prod.dispatch);
+    EXPECT_EQ(res.timing[9].dispatch, prod.issue);
+}
+
+TEST(TimingSim, OneCycleChainWakesBackToBack)
+{
+    // A dependent chain of one-cycle ops wakes each link the cycle
+    // after its producer issues, across several turns of the wheel.
+    const std::size_t n = 1500;
+    Trace t = independentOps(n);
+    for (std::size_t i = 1; i < n; ++i) {
+        TraceRecord rec = t[i];
+        rec.prod[srcSlot1] = i - 1;
+        t.set(i, rec);
+    }
+    SimResult res = runMono(t);
+    validateTiming(t, res, MachineConfig::monolithic());
+    for (std::size_t i = 1; i < n; ++i) {
+        ASSERT_EQ(res.timing[i].ready, res.timing[i - 1].issue + 1)
+            << "at " << i;
+        ASSERT_EQ(res.timing[i].issue, res.timing[i].ready) << "at " << i;
+    }
+}
+
+TEST(TimingSimDeath, ForwardProducerLinkIsCaught)
+{
+    // Row 5 names a later row as its producer: row 9, or one past the
+    // end of the trace. Trace::wellFormed rejects both; handed to the
+    // core unchecked, steering row 5 must die rather than simulate a
+    // plausible CPI or read past the timing records.
+    for (const InstId producer : {InstId{9}, InstId{1000}}) {
+        Trace t = independentOps(12);
+        TraceRecord rec = t[5];
+        rec.prod[srcSlot2] = producer;
+        t.set(5, rec);
+        ASSERT_FALSE(t.wellFormed());
+        UnifiedSteering steer(UnifiedSteeringOptions{}, nullptr,
+                              nullptr);
+        AgeScheduling age;
+        TimingSim sim(MachineConfig::monolithic(), t, steer, age);
+        EXPECT_DEATH(sim.run(), "p < id") << "producer " << producer;
+    }
+}
+
 } // anonymous namespace
 } // namespace csim
