@@ -115,14 +115,9 @@ main(int argc, char **argv)
         const std::string label =
             "throughput/threads=" + std::to_string(threads);
         StatsRegistry reg;
-        reg.addCounter("throughput.instructions",
-                       "simulated instructions retired in this pass") +=
-            instructions;
-        reg.addCounter("throughput.cycles",
-                       "simulated cycles in this pass") += cycles;
-        reg.addCounter("throughput.cells",
-                       "sweep cells in this pass") +=
-            outcome.cells.size();
+        reg.addCounter("throughput.instructions") += instructions;
+        reg.addCounter("throughput.cycles") += cycles;
+        reg.addCounter("throughput.cells") += outcome.cells.size();
         ctx.addRunStats(label, reg.snapshot());
 
         const HostMemoryStats mem = sampleHostMemory();
@@ -205,18 +200,15 @@ main(int argc, char **argv)
 
         const std::string label = "throughput/large=10M";
         StatsRegistry reg;
-        reg.addCounter("throughput.large.traceInstructions",
-                       "instructions stream-built into the store") +=
+        // Instructions stream-built into the store.
+        reg.addCounter("throughput.large.traceInstructions") +=
             built.instructions;
-        reg.addCounter("throughput.large.fileBytes",
-                       "columnar store file size") += info.fileBytes;
-        reg.addCounter("throughput.large.regions",
-                       "sampled regions simulated") += lcfg.regions;
-        reg.addCounter("throughput.large.instructions",
-                       "measured instructions across regions") +=
+        reg.addCounter("throughput.large.fileBytes") += info.fileBytes;
+        reg.addCounter("throughput.large.regions") += lcfg.regions;
+        // Measured instructions and cycles across the regions.
+        reg.addCounter("throughput.large.instructions") +=
             agg.instructions;
-        reg.addCounter("throughput.large.cycles",
-                       "measured cycles across regions") += agg.cycles;
+        reg.addCounter("throughput.large.cycles") += agg.cycles;
         ctx.addRunStats(label, reg.snapshot(), IntervalSeries{},
                         agg.phases);
 

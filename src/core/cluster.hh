@@ -46,13 +46,11 @@ class Cluster
     void
     attachStats(StatsRegistry &registry, const std::string &prefix)
     {
-        statEntered_ = &registry.addCounter(
-            prefix + ".window.entered",
-            "instructions steered into this window");
+        statEntered_ = &registry.addCounter(prefix + ".window.entered");
+        // Sampled once per cycle.
         statOccupancy_ = &registry.addDistribution(
             prefix + ".window.occupancy", 16, 0.0,
-            static_cast<double>(windowEntries_ + 1),
-            "per-cycle scheduling-window occupancy");
+            static_cast<double>(windowEntries_ + 1));
         // Occupancy is a small integer sampled every cycle; precompute
         // its bucket with the histogram's own math so the hot path
         // skips the floating-point bucketing entirely.

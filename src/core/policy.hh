@@ -38,18 +38,10 @@ class CoreView
     virtual bool completed(InstId id) const = 0;
     /** Cluster an already-steered instruction lives on. */
     virtual ClusterId clusterOf(InstId id) const = 0;
-    /** Trace record of any dynamic instruction (e.g. a producer). */
-    virtual const TraceRecord &record(InstId id) const = 0;
     /** Timing record of any dynamic instruction. */
     virtual const InstTiming &timingOf(InstId id) const = 0;
-
-    /**
-     * Static address of any dynamic instruction. Prefer this over
-     * record(id).pc when the pc is all you need: the timing core
-     * serves it from the pc column instead of reassembling a whole
-     * record from twelve columns.
-     */
-    virtual Addr pcOf(InstId id) const { return record(id).pc; }
+    /** Static address of any dynamic instruction (e.g. a producer). */
+    virtual Addr pcOf(InstId id) const = 0;
 };
 
 /** The instruction presented to the steering policy. */

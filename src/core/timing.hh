@@ -92,14 +92,12 @@ struct SimResult
 
     /** Distinct (value, remote cluster) deliveries over the bypass. */
     std::uint64_t globalValues = 0;
-    /** Cycles the steering stage spent stalled by policy choice. */
-    std::uint64_t steerStallCycles = 0;
 
     /**
      * Frozen stats-registry view of the run: every counter,
      * distribution and formula registered by the core, the policies
-     * and the predictors. globalValues/steerStallCycles above are
-     * convenience copies of "sim.globalValues"/"steer.stallCycles".
+     * and the predictors. globalValues above is a convenience copy of
+     * "sim.globalValues".
      */
     StatsSnapshot stats;
 
@@ -126,13 +124,6 @@ struct SimResult
     {
         return instructions ? static_cast<double>(cycles) /
             static_cast<double>(instructions) : 0.0;
-    }
-
-    double
-    ipc() const
-    {
-        return cycles ? static_cast<double>(instructions) /
-            static_cast<double>(cycles) : 0.0;
     }
 
     double

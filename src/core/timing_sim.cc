@@ -10,7 +10,6 @@
 #include "common/logging.hh"
 #include "core/sim_observer.hh"
 #include "obs/host_prof.hh"
-#include "obs/pipe_trace.hh"
 
 namespace csim {
 
@@ -148,8 +147,8 @@ TimingSim::TimingSim(const MachineConfig &config, const TraceSoA &soa,
     std::memset(pendingOps_, 0, n);
 
     if (options_.collectIlp) {
-        ilpCycles_.resize(options_.ilpMaxAvailable + 1, 0);
-        ilpIssuedSum_.resize(options_.ilpMaxAvailable + 1, 0);
+        ilpCycles_.resize(ilpTopBucket + 1, 0);
+        ilpIssuedSum_.resize(ilpTopBucket + 1, 0);
     }
 
     if (options_.checker)
@@ -226,96 +225,74 @@ TimingSim::closePhase(Cycle end_exclusive)
 void
 TimingSim::registerCoreStats()
 {
-    statCycles_ = &registry_.addCounter(
-        "sim.cycles", "total simulated cycles");
-    statInstructions_ = &registry_.addCounter(
-        "sim.instructions", "committed instructions");
-    statGlobalValues_ = &registry_.addCounter(
-        "sim.globalValues",
-        "distinct (value, remote cluster) deliveries over the bypass");
-    statSteerStallCycles_ = &registry_.addCounter(
-        "steer.stallCycles",
-        "cycles the steer stage stalled by policy choice");
-    statRobFullCycles_ = &registry_.addCounter(
-        "steer.robFullCycles", "cycles steering blocked on a full ROB");
-    statAllWindowsFullCycles_ = &registry_.addCounter(
-        "steer.windowFullCycles",
-        "cycles steering blocked with every cluster window full");
-    statFetchStallCycles_ = &registry_.addCounter(
-        "fetch.stallCycles",
-        "cycles fetch stalled on an unresolved mispredicted branch");
-    statPortStarvedEvents_ = &registry_.addCounter(
-        "sched.replayEvents",
-        "ready instructions denied issue by port limits (inst-cycles)");
-    statPriorityInversions_ = &registry_.addCounter(
-        "sched.priorityInversions",
-        "issues that bypassed a denied instruction of a strictly "
-        "higher scheduling class");
-    statFwdDyadic_ = &registry_.addCounter(
-        "fwd.cause.dyadic",
-        "bypass deliveries to consumers with split producers");
+    statCycles_ = &registry_.addCounter("sim.cycles");
+    statInstructions_ = &registry_.addCounter("sim.instructions");
+    // Distinct (value, remote cluster) deliveries over the bypass.
+    statGlobalValues_ = &registry_.addCounter("sim.globalValues");
+    // Cycles the steer stage stalled by policy choice.
+    statSteerStallCycles_ = &registry_.addCounter("steer.stallCycles");
+    statRobFullCycles_ = &registry_.addCounter("steer.robFullCycles");
+    // Cycles steering blocked with every cluster window full.
+    statAllWindowsFullCycles_ =
+        &registry_.addCounter("steer.windowFullCycles");
+    // Cycles fetch stalled on an unresolved mispredicted branch.
+    statFetchStallCycles_ = &registry_.addCounter("fetch.stallCycles");
+    // Ready instructions denied issue by port limits (inst-cycles).
+    statPortStarvedEvents_ = &registry_.addCounter("sched.replayEvents");
+    // Issues that bypassed a denied instruction of a strictly higher
+    // scheduling class.
+    statPriorityInversions_ =
+        &registry_.addCounter("sched.priorityInversions");
+    // Bypass deliveries to consumers with split producers.
+    statFwdDyadic_ = &registry_.addCounter("fwd.cause.dyadic");
 
+    // Per steering outcome: instructions steered, and bypass
+    // deliveries to consumers steered that way.
     statSteerReason_.resize(numSteerReasons);
     statFwdCause_.resize(numSteerReasons);
     for (std::size_t r = 0; r < numSteerReasons; ++r) {
         const std::string reason =
             steerReasonStatName(static_cast<SteerReason>(r));
-        statSteerReason_[r] = &registry_.addCounter(
-            "steer.reason." + reason,
-            "instructions steered with outcome " + reason);
-        statFwdCause_[r] = &registry_.addCounter(
-            "fwd.cause." + reason,
-            "bypass deliveries to consumers steered as " + reason);
+        statSteerReason_[r] =
+            &registry_.addCounter("steer.reason." + reason);
+        statFwdCause_[r] = &registry_.addCounter("fwd.cause." + reason);
     }
 
     const Counter *cycles = statCycles_;
     const Counter *insts = statInstructions_;
     const Counter *globals = statGlobalValues_;
-    registry_.addFormula(
-        "sim.cpi",
-        [cycles, insts] {
-            return insts->value() ?
-                static_cast<double>(cycles->value()) /
-                static_cast<double>(insts->value()) : 0.0;
-        },
-        "cycles per committed instruction");
-    registry_.addFormula(
-        "sim.ipc",
-        [cycles, insts] {
-            return cycles->value() ?
-                static_cast<double>(insts->value()) /
-                static_cast<double>(cycles->value()) : 0.0;
-        },
-        "committed instructions per cycle");
-    registry_.addFormula(
-        "sim.globalValuesPerInst",
-        [globals, insts] {
-            return insts->value() ?
-                static_cast<double>(globals->value()) /
-                static_cast<double>(insts->value()) : 0.0;
-        },
-        "bypass deliveries per committed instruction");
+    registry_.addFormula("sim.cpi", [cycles, insts] {
+        return insts->value() ?
+            static_cast<double>(cycles->value()) /
+            static_cast<double>(insts->value()) : 0.0;
+    });
+    registry_.addFormula("sim.ipc", [cycles, insts] {
+        return cycles->value() ?
+            static_cast<double>(insts->value()) /
+            static_cast<double>(cycles->value()) : 0.0;
+    });
+    registry_.addFormula("sim.globalValuesPerInst", [globals, insts] {
+        return insts->value() ?
+            static_cast<double>(globals->value()) /
+            static_cast<double>(insts->value()) : 0.0;
+    });
 
     clusterStats_.resize(config_.numClusters);
     for (unsigned c = 0; c < config_.numClusters; ++c) {
         const std::string prefix = "sim.cluster" + std::to_string(c);
         ClusterStats &cs = clusterStats_[c];
-        cs.steered = &registry_.addCounter(
-            prefix + ".steered", "instructions steered to this cluster");
-        cs.windowFullDiverts = &registry_.addCounter(
-            prefix + ".steer.windowFullDiverts",
-            "steers diverted elsewhere because this window was full");
-        cs.intIssued = &registry_.addCounter(
-            prefix + ".issue.int", "instructions issued on int ports");
-        cs.fpIssued = &registry_.addCounter(
-            prefix + ".issue.fp", "instructions issued on fp ports");
-        cs.memIssued = &registry_.addCounter(
-            prefix + ".issue.mem", "instructions issued on mem ports");
+        cs.steered = &registry_.addCounter(prefix + ".steered");
+        cs.windowFullDiverts =
+            &registry_.addCounter(prefix + ".steer.windowFullDiverts");
+        cs.intIssued = &registry_.addCounter(prefix + ".issue.int");
+        cs.fpIssued = &registry_.addCounter(prefix + ".issue.fp");
+        cs.memIssued = &registry_.addCounter(prefix + ".issue.mem");
 
         const Counter *ints = cs.intIssued;
         const Counter *fps = cs.fpIssued;
         const Counter *mems = cs.memIssued;
         const double width = config_.cluster.issueWidth;
+        // Fraction of issue slots used.
         registry_.addFormula(
             prefix + ".issue.utilization",
             [cycles, ints, fps, mems, width] {
@@ -324,8 +301,7 @@ TimingSim::registerCoreStats()
                 const double slots =
                     static_cast<double>(cycles->value()) * width;
                 return slots > 0.0 ? issued / slots : 0.0;
-            },
-            "fraction of issue slots used");
+            });
     }
 }
 
@@ -446,7 +422,6 @@ TimingSim::run()
         statCycles_->set(result.cycles);
         statInstructions_->set(n);
         result.globalValues = statGlobalValues_->value();
-        result.steerStallCycles = statSteerStallCycles_->value();
         result.stats = registry_.snapshot();
     } else {
         // Close the trailing phase (quota 0 = "to trace end", or a
@@ -464,12 +439,9 @@ TimingSim::run()
             else
                 result.stats.merge(phase.stats);
         }
-        if (!result.stats.empty()) {
+        if (!result.stats.empty())
             result.globalValues = static_cast<std::uint64_t>(
                 result.stats.value("sim.globalValues"));
-            result.steerStallCycles = static_cast<std::uint64_t>(
-                result.stats.value("steer.stallCycles"));
-        }
         result.phases = std::move(phaseResults_);
     }
     // Hand over the backing store; the sim is single-shot, so nothing
@@ -655,8 +627,7 @@ TimingSim::doIssue()
 
     if (options_.collectIlp) {
         std::uint64_t bucket =
-            std::min<std::uint64_t>(available_total,
-                                    options_.ilpMaxAvailable);
+            std::min<std::uint64_t>(available_total, ilpTopBucket);
         ++ilpCycles_[bucket];
         ilpIssuedSum_[bucket] += issued_total;
     }
@@ -675,8 +646,6 @@ TimingSim::doCommit()
         for (SimObserver *obs : observers_)
             obs->onCommit(*this, commitIdx_);
         const TraceRecord rec = soa_.record(commitIdx_);
-        if (options_.pipeTracer)
-            options_.pipeTracer->onRetire(commitIdx_, rec, t);
         if (listener_)
             listener_->onCommit(*this, commitIdx_);
         steering_.notifyCommit(*this, commitIdx_, rec);

@@ -34,7 +34,6 @@
 
 namespace csim {
 
-class PipeTracer;
 class SimObserver;
 
 /**
@@ -70,6 +69,10 @@ prioKeyClass(std::uint64_t key)
     return static_cast<std::uint32_t>(key >> prioKeyIdBits);
 }
 
+/** Largest available-ILP bucket tracked under SimOptions::collectIlp;
+ *  cycles with more instructions ready count in this bucket. */
+inline constexpr unsigned ilpTopBucket = 64;
+
 struct SimOptions
 {
     /** Collect the per-cycle available/achieved ILP data (Fig. 15). */
@@ -77,24 +80,16 @@ struct SimOptions
     /** Has no effect: every run steps every cycle. Kept only because
      *  the perfbench drivers still copy it. */
     bool legacyStep = false;
-    /** Largest available-ILP bucket tracked. */
-    unsigned ilpMaxAvailable = 64;
     /**
      * Hard safety bound: panic if the run exceeds this many cycles per
      * instruction (catches policy-induced deadlock in tests).
      */
     unsigned maxCpi = 1000;
     /**
-     * Optional pipeline event tracer, fed each instruction at commit
-     * (all timestamps final). The tracer's own [startInst, endInst)
-     * window gates the output; the tracer must outlive run().
-     */
-    PipeTracer *pipeTracer = nullptr;
-    /**
      * Optional pipeline observer (the invariant checker in
      * src/verify), driven at steer, issue, commit and every cycle
-     * boundary. Like pipeTracer it must outlive run(); its stats are
-     * registered into the run's registry at construction.
+     * boundary. It must outlive run(); its stats are registered into
+     * the run's registry at construction.
      */
     SimObserver *checker = nullptr;
     /**
@@ -151,13 +146,6 @@ class TimingSim : public CoreView
     bool inFlight(InstId id) const override;
     bool completed(InstId id) const override;
     ClusterId clusterOf(InstId id) const override;
-    /** Reassembled from the columns into one scratch slot: valid
-     *  until the next call. */
-    const TraceRecord &record(InstId id) const override
-    {
-        scratchRecord_ = soa_.record(id);
-        return scratchRecord_;
-    }
     const InstTiming &timingOf(InstId id) const override
     {
         return timing_[id];
@@ -216,8 +204,6 @@ class TimingSim : public CoreView
     const MachineConfig config_;
     /** The trace's columns (a Trace's own, or an mmap-ed store). */
     const TraceSoA soa_;
-    /** record() reassembly slot. */
-    mutable TraceRecord scratchRecord_;
     SteeringPolicy &steering_;
     SchedulingPolicy &scheduling_;
     CommitListener *listener_;
@@ -325,9 +311,7 @@ class TimingSim : public CoreView
 
     Counter *statCycles_ = nullptr;
     Counter *statInstructions_ = nullptr;
-    /** Replaces the old ad-hoc globalValues_ member. */
     Counter *statGlobalValues_ = nullptr;
-    /** Replaces the old ad-hoc steerStallCycles_ member. */
     Counter *statSteerStallCycles_ = nullptr;
     Counter *statRobFullCycles_ = nullptr;
     Counter *statAllWindowsFullCycles_ = nullptr;

@@ -55,16 +55,14 @@ OnlineCriticalityTrainer::registerStats(StatsRegistry &registry)
     // predate the registry); expose them as live formulas so snapshots
     // always see the current values without double bookkeeping.
     registry.addFormula(
-        "train.chunks", [this] { return static_cast<double>(chunks_); },
-        "commit chunks analysed by the online trainer");
+        "train.chunks", [this] { return static_cast<double>(chunks_); });
     registry.addFormula(
         "train.trainedTotal",
-        [this] { return static_cast<double>(trainedTotal_); },
-        "instructions used to train the criticality predictors");
+        [this] { return static_cast<double>(trainedTotal_); });
+    // Training instructions whose E node was chunk-critical.
     registry.addFormula(
         "train.trainedCritical",
-        [this] { return static_cast<double>(trainedCritical_); },
-        "training instructions whose E node was chunk-critical");
+        [this] { return static_cast<double>(trainedCritical_); });
     if (critPred_)
         critPred_->attachStats(registry);
     if (locPred_)

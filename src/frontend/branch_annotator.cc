@@ -5,9 +5,9 @@
 namespace csim {
 
 BranchAnnotateResult
-annotateBranches(Trace &trace, unsigned history_bits)
+annotateBranches(Trace &trace)
 {
-    GsharePredictor pred(history_bits);
+    GsharePredictor pred;
     return annotateBranches(trace, pred);
 }
 

@@ -21,12 +21,9 @@ struct BranchAnnotateResult
     std::uint64_t mispredictions = 0;
 };
 
-/**
- * Annotate rec.mispredicted for every conditional branch in the trace.
- * @param history_bits gshare global history length.
- */
-BranchAnnotateResult annotateBranches(Trace &trace,
-                                      unsigned history_bits = 16);
+/** Annotate rec.mispredicted for every conditional branch in the trace,
+ *  through a fresh gshare predictor of gshareHistoryBits. */
+BranchAnnotateResult annotateBranches(Trace &trace);
 
 /**
  * Same pass against a caller-owned predictor whose tables and history

@@ -15,12 +15,15 @@
 
 namespace csim {
 
+/** The paper's global history length, used by every trace build. */
+inline constexpr unsigned gshareHistoryBits = 16;
+
 class GsharePredictor
 {
   public:
     /** @param history_bits Global history length; table has 2^bits PHT
      *  entries of 2-bit counters. */
-    explicit GsharePredictor(unsigned history_bits = 16);
+    explicit GsharePredictor(unsigned history_bits = gshareHistoryBits);
 
     /** Predict the direction of the conditional branch at pc. */
     bool predict(Addr pc) const;

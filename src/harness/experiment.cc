@@ -42,9 +42,8 @@ configDigest(const ExperimentConfig &cfg)
         os << seed << ',';
     os << ";warm=" << cfg.warmupRuns << ";chunk=" << cfg.trainChunk
        << ";stall=" << cfg.stallThreshold << ";loc=" << cfg.locLevels
-       << ";sim=" << cfg.simOptions.collectIlp << ','
-       << cfg.simOptions.ilpMaxAvailable << ','
-       << cfg.simOptions.maxCpi << ";phases=";
+       << ";sim=" << cfg.simOptions.collectIlp << ',' << ilpTopBucket
+       << ',' << cfg.simOptions.maxCpi << ";phases=";
     for (const PhaseSpec &phase : cfg.simOptions.phases)
         os << phase.name << ':' << phase.instructions << ':'
            << phase.isWarmup << ',';

@@ -153,21 +153,6 @@ class BenchContext
      */
     void apply(ExperimentConfig &cfg) const;
 
-    /** True when --check was given. */
-    bool checkRequested() const { return check_; }
-
-    /** True when --profile / --profile-interval / --trace-out given. */
-    bool profileRequested() const { return profile_; }
-
-    bool jsonRequested() const { return !jsonPath_.empty(); }
-    const std::string &jsonPath() const { return jsonPath_; }
-
-    /** Chrome trace output path ("" when --trace-out absent). */
-    const std::string &traceOutPath() const { return traceOutPath_; }
-
-    /** NDJSON run-ledger path ("" when --ledger-out absent). */
-    const std::string &ledgerPath() const { return ledgerPath_; }
-
     /** The live run ledger (null without --ledger-out). Already wired
      *  into runner(); benches with custom phases may emit their own
      *  events through it. */

@@ -7,6 +7,7 @@
 
 #include "common/fnv.hh"
 #include "common/logging.hh"
+#include "frontend/gshare.hh"
 #include "obs/host_prof.hh"
 
 namespace csim {
@@ -22,15 +23,17 @@ wallNs()
             .count());
 }
 
+/** The build inputs: workload, seed and length, then the fixed L1,
+ *  load latencies and gshare history of the paper's machine. */
 std::string
-cacheKey(const std::string &workload, const WorkloadConfig &cfg,
-         const MemoryModelConfig &mem, unsigned gshare_bits)
+cacheKey(const std::string &workload, const WorkloadConfig &cfg)
 {
+    const CacheConfig l1;
     std::ostringstream key;
     key << workload << '|' << cfg.seed << '|' << cfg.targetInstructions
-        << '|' << mem.l1.sizeBytes << ',' << mem.l1.assoc << ','
-        << mem.l1.lineBytes << '|' << mem.loadToUse << ','
-        << mem.l2Latency << '|' << gshare_bits;
+        << '|' << l1.sizeBytes << ',' << l1.assoc << ',' << l1.lineBytes
+        << '|' << l1LoadToUse << ',' << l2MissLatency << '|'
+        << gshareHistoryBits;
     return key.str();
 }
 
@@ -38,63 +41,43 @@ cacheKey(const std::string &workload, const WorkloadConfig &cfg,
 
 TraceCache::TraceCache()
 {
-    statRequests_ = &registry_.addCounter(
-        "traceCache.requests", "trace lookups (hits + builds)");
-    statBuilds_ = &registry_.addCounter(
-        "traceCache.builds", "annotated traces built");
-    statHits_ = &registry_.addCounter(
-        "traceCache.hits", "lookups served from the cache");
-    statBytesBuilt_ = &registry_.addCounter(
-        "traceCache.bytesBuilt", "total bytes of traces built");
-    registry_.addFormula(
-        "traceCache.bytesHeld", [this] {
-            return static_cast<double>(bytesHeld_);
-        },
-        "bytes currently held");
-    registry_.addFormula(
-        "traceCache.peakBytes", [this] {
-            return static_cast<double>(peakBytes_);
-        },
-        "high-water mark of bytes held");
-    registry_.addFormula(
-        "traceCache.entriesHeld", [this] {
-            return static_cast<double>(slots_.size());
-        },
-        "entries currently held");
-    registry_.addFormula(
-        "traceCache.hitRate", [this] {
-            const double reqs =
-                static_cast<double>(statRequests_->value());
-            return reqs > 0.0 ?
-                static_cast<double>(statHits_->value()) / reqs : 0.0;
-        },
-        "fraction of lookups served without a build");
+    // Lookups (hits + builds).
+    statRequests_ = &registry_.addCounter("traceCache.requests");
+    statBuilds_ = &registry_.addCounter("traceCache.builds");
+    statHits_ = &registry_.addCounter("traceCache.hits");
+    statBytesBuilt_ = &registry_.addCounter("traceCache.bytesBuilt");
+    registry_.addFormula("traceCache.bytesHeld", [this] {
+        return static_cast<double>(bytesHeld_);
+    });
+    registry_.addFormula("traceCache.peakBytes", [this] {
+        return static_cast<double>(peakBytes_);
+    });
+    registry_.addFormula("traceCache.entriesHeld", [this] {
+        return static_cast<double>(slots_.size());
+    });
+    registry_.addFormula("traceCache.hitRate", [this] {
+        const double reqs = static_cast<double>(statRequests_->value());
+        return reqs > 0.0 ?
+            static_cast<double>(statHits_->value()) / reqs : 0.0;
+    });
 
-    statBuildNs_ = &timeRegistry_.addCounter(
-        "traceCache.time.buildNs",
-        "wall nanoseconds spent building annotated traces");
-    statLockWaitNs_ = &timeRegistry_.addCounter(
-        "traceCache.time.lockWaitNs",
-        "wall nanoseconds spent acquiring the cache lock");
-    statHitWaitNs_ = &timeRegistry_.addCounter(
-        "traceCache.time.hitWaitNs",
-        "wall nanoseconds blocked on another thread's in-flight build");
-    timeRegistry_.addFormula(
-        "traceCache.time.buildMsMean", [this] {
-            const double builds =
-                static_cast<double>(statBuilds_->value());
-            return builds > 0.0 ?
-                static_cast<double>(statBuildNs_->value()) / builds /
-                    1e6 : 0.0;
-        },
-        "mean milliseconds per trace build");
+    statBuildNs_ = &timeRegistry_.addCounter("traceCache.time.buildNs");
+    statLockWaitNs_ =
+        &timeRegistry_.addCounter("traceCache.time.lockWaitNs");
+    // Wall nanoseconds blocked on another thread's in-flight build.
+    statHitWaitNs_ = &timeRegistry_.addCounter("traceCache.time.hitWaitNs");
+    timeRegistry_.addFormula("traceCache.time.buildMsMean", [this] {
+        const double builds = static_cast<double>(statBuilds_->value());
+        return builds > 0.0 ?
+            static_cast<double>(statBuildNs_->value()) / builds / 1e6 :
+            0.0;
+    });
 }
 
 std::shared_ptr<const Trace>
-TraceCache::get(const std::string &workload, const WorkloadConfig &cfg,
-                const MemoryModelConfig &mem, unsigned gshare_bits)
+TraceCache::get(const std::string &workload, const WorkloadConfig &cfg)
 {
-    const std::string key = cacheKey(workload, cfg, mem, gshare_bits);
+    const std::string key = cacheKey(workload, cfg);
 
     std::promise<std::shared_ptr<const Trace>> promise;
     {
@@ -130,7 +113,7 @@ TraceCache::get(const std::string &workload, const WorkloadConfig &cfg,
     {
         HOST_PROF_SCOPE("traceCache.build");
         trace = std::make_shared<const Trace>(
-            buildAnnotatedTrace(workload, cfg, mem, gshare_bits));
+            buildAnnotatedTrace(workload, cfg));
     }
     const std::uint64_t build_ns = wallNs() - build_start;
     promise.set_value(trace);

@@ -2,12 +2,12 @@
  * @file
  * Shared annotated-trace cache for experiment sweeps.
  *
- * Every (workload, seed, instructions, memory-config, gshare-bits)
- * combination maps to exactly one annotated trace, which is built once
- * and then shared immutably (shared_ptr<const Trace>) across all
- * experiment cells that need it — the trace-build passes (emulation,
- * producer linking, branch and cache annotation) are deterministic, so
- * a cached trace is bit-identical to a fresh build. The cache is
+ * Every (workload, seed, instructions) combination maps to exactly
+ * one annotated trace, which is built once and then shared immutably
+ * (shared_ptr<const Trace>) across all experiment cells that need
+ * it — the trace-build passes (emulation, producer linking, branch
+ * and cache annotation) are deterministic, so a cached trace is
+ * bit-identical to a fresh build. The cache is
  * thread-safe: concurrent requests for a trace that is still being
  * built block on the in-flight build instead of duplicating it.
  *
@@ -55,9 +55,7 @@ class TraceCache
      * Blocks if another thread is currently building the same trace.
      */
     std::shared_ptr<const Trace>
-    get(const std::string &workload, const WorkloadConfig &cfg,
-        const MemoryModelConfig &mem = MemoryModelConfig{},
-        unsigned gshare_bits = 16);
+    get(const std::string &workload, const WorkloadConfig &cfg);
 
     /** Drop every cached entry (in-flight builds must have finished). */
     void clear();

@@ -83,7 +83,7 @@ listSchedule(const Trace &trace,
         return result;
 
     const std::vector<Region> regions =
-        splitRegions(trace, options.maxRegion);
+        splitRegions(trace, config.robEntries);
     result.regions = regions.size();
 
     std::vector<Cycle> completion(n, 0);

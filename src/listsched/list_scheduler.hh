@@ -45,8 +45,6 @@ struct ListSchedOptions
     const LocPredictor *locPred = nullptr;
     /** Required for Priority::BinaryCritical. */
     const CriticalityPredictor *critPred = nullptr;
-    /** Maximum scheduling-scope length (ROB size). */
-    std::uint64_t maxRegion = 256;
 };
 
 struct ListSchedResult
@@ -71,7 +69,8 @@ struct ListSchedResult
  * @param trace Annotated, producer-linked trace.
  * @param ref_timing Per-instruction timing of a reference 1x8w run
  *        (supplies the dispatch/fetch constraints).
- * @param config Target machine geometry.
+ * @param config Target machine geometry; its robEntries bound the
+ *        scheduling scope (the longest region).
  */
 ListSchedResult listSchedule(const Trace &trace,
                              const std::vector<InstTiming> &ref_timing,

@@ -5,14 +5,14 @@
 namespace csim {
 
 MemAnnotateResult
-annotateMemory(Trace &trace, const MemoryModelConfig &config)
+annotateMemory(Trace &trace)
 {
-    Cache l1(config.l1);
-    return annotateMemory(trace, l1, config);
+    Cache l1;
+    return annotateMemory(trace, l1);
 }
 
 MemAnnotateResult
-annotateMemory(Trace &trace, Cache &l1, const MemoryModelConfig &config)
+annotateMemory(Trace &trace, Cache &l1)
 {
     MemAnnotateResult res;
 
@@ -21,8 +21,8 @@ annotateMemory(Trace &trace, Cache &l1, const MemoryModelConfig &config)
         if (rec.isLoad()) {
             bool hit = l1.access(rec.memAddr);
             trace.setL1Miss(i, !hit);
-            unsigned lat = config.loadToUse + (hit ? 0 : config.l2Latency);
-            CSIM_ASSERT(lat <= 255);
+            const unsigned lat = l1LoadToUse + (hit ? 0 : l2MissLatency);
+            static_assert(l1LoadToUse + l2MissLatency <= 255);
             trace.setExecLat(i, static_cast<std::uint8_t>(lat));
             if (!hit)
                 ++res.loadMisses;

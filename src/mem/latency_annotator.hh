@@ -13,14 +13,10 @@
 
 namespace csim {
 
-struct MemoryModelConfig
-{
-    CacheConfig l1 = CacheConfig{};
-    /** Load-to-use latency on an L1 hit (Alpha 21264: 3 cycles). */
-    unsigned loadToUse = 3;
-    /** Additional latency on an L1 miss (infinite 20-cycle L2). */
-    unsigned l2Latency = 20;
-};
+/** Load-to-use latency on an L1 hit (Alpha 21264: 3 cycles). */
+inline constexpr unsigned l1LoadToUse = 3;
+/** Additional latency on an L1 miss (infinite 20-cycle L2). */
+inline constexpr unsigned l2MissLatency = 20;
 
 struct MemAnnotateResult
 {
@@ -29,12 +25,11 @@ struct MemAnnotateResult
 };
 
 /**
- * Annotate rec.execLat and rec.l1Miss for every load; stores access the
- * cache (write-allocate) but keep their 1-cycle occupancy.
+ * Annotate rec.execLat and rec.l1Miss for every load through a fresh
+ * paper L1 (CacheConfig{}); stores access the cache (write-allocate)
+ * but keep their 1-cycle occupancy.
  */
-MemAnnotateResult annotateMemory(Trace &trace,
-                                 const MemoryModelConfig &config =
-                                     MemoryModelConfig{});
+MemAnnotateResult annotateMemory(Trace &trace);
 
 /**
  * Same pass against a caller-owned L1 whose contents persist across
@@ -42,9 +37,7 @@ MemAnnotateResult annotateMemory(Trace &trace,
  * one cache yields exactly the monolithic pass's outcomes. The
  * returned l1 stats cover the cache's whole lifetime so far.
  */
-MemAnnotateResult annotateMemory(Trace &trace, Cache &l1,
-                                 const MemoryModelConfig &config =
-                                     MemoryModelConfig{});
+MemAnnotateResult annotateMemory(Trace &trace, Cache &l1);
 
 } // namespace csim
 

@@ -327,26 +327,21 @@ IntervalProfiler::initSeriesGeometry()
 void
 IntervalProfiler::registerStats(StatsRegistry &registry)
 {
-    statIntervals_ = &registry.addCounter(
-        "profiler.intervals", "profiling intervals closed");
+    statIntervals_ = &registry.addCounter("profiler.intervals");
     for (std::size_t i = 0; i < numCpiComponents; ++i) {
         const CpiComponent c = static_cast<CpiComponent>(i);
         statComponents_[i] = &registry.addCounter(
-            std::string("profiler.cycles.") + cpiComponentName(c),
-            std::string("cycles attributed to ") + cpiComponentName(c));
+            std::string("profiler.cycles.") + cpiComponentName(c));
     }
-    statPredCritSteers_ = &registry.addCounter(
-        "profiler.steers.predictedCritical",
-        "steered instructions predicted critical");
-    statDenied_ = &registry.addCounter(
-        "profiler.issue.denied",
-        "ready instructions denied issue (per cycle events)");
-    statDeniedCritical_ = &registry.addCounter(
-        "profiler.issue.deniedCritical",
-        "predicted-critical instructions denied issue");
+    statPredCritSteers_ =
+        &registry.addCounter("profiler.steers.predictedCritical");
+    // Ready instructions denied issue, counted once per cycle denied.
+    statDenied_ = &registry.addCounter("profiler.issue.denied");
+    statDeniedCritical_ =
+        &registry.addCounter("profiler.issue.deniedCritical");
+    // The LoC predictor's level of each instruction at steer time.
     statLocSpectrum_ = &registry.addDistribution(
-        "profiler.loc.spectrum", 16, 0.0, 16.0,
-        "steer-time LoC predictor level spectrum");
+        "profiler.loc.spectrum", 16, 0.0, 16.0);
 }
 
 } // namespace csim

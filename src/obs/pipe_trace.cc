@@ -1,5 +1,6 @@
 #include "obs/pipe_trace.hh"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 
@@ -7,23 +8,13 @@
 
 namespace csim {
 
-PipeTracer::PipeTracer(std::ostream &out, PipeTraceOptions options)
-    : out_(out), options_(options)
-{
-    CSIM_ASSERT(options_.startInst <= options_.endInst);
-    CSIM_ASSERT(options_.startCycle <= options_.endCycle);
-}
+namespace {
 
+/** Emit the O3PipeView record of one retired instruction. */
 void
-PipeTracer::onRetire(InstId id, const TraceRecord &rec,
-                     const InstTiming &timing)
+writeRecord(std::ostream &out, InstId id, const TraceRecord &rec,
+            const InstTiming &timing)
 {
-    if (id < options_.startInst || id >= options_.endInst)
-        return;
-    if (timing.fetch < options_.startCycle ||
-        timing.fetch >= options_.endCycle)
-        return;
-
     // A retired instruction must have a complete, ordered lifecycle;
     // anything else is a core bug the tracer refuses to paper over.
     CSIM_ASSERT(timing.fetch != invalidCycle);
@@ -50,19 +41,27 @@ PipeTracer::onRetire(InstId id, const TraceRecord &rec,
         static_cast<unsigned>(timing.locLevel),
         timing.dispatch, timing.dispatch, timing.dispatch,
         timing.issue, timing.complete, timing.commit);
-    out_ << buf;
-    ++traced_;
+    out << buf;
 }
+
+} // anonymous namespace
 
 void
 writePipeTrace(std::ostream &out, const Trace &trace,
                const std::vector<InstTiming> &timing,
                PipeTraceOptions options)
 {
+    CSIM_ASSERT(options.startInst <= options.endInst);
+    CSIM_ASSERT(options.startCycle <= options.endCycle);
     CSIM_ASSERT(timing.size() >= trace.size());
-    PipeTracer tracer(out, options);
-    for (InstId id = 0; id < trace.size(); ++id)
-        tracer.onRetire(id, trace[id], timing[id]);
+    const std::uint64_t end = std::min<std::uint64_t>(
+        options.endInst, trace.size());
+    for (InstId id = options.startInst; id < end; ++id) {
+        const InstTiming &t = timing[id];
+        if (t.fetch < options.startCycle || t.fetch >= options.endCycle)
+            continue;
+        writeRecord(out, id, trace[id], t);
+    }
 }
 
 } // namespace csim

@@ -3,7 +3,7 @@
  * Per-instruction pipeline event tracing in gem5's O3PipeView text
  * format, which Konata and the gem5 o3-pipeview script can render.
  *
- * Each retired instruction emits one record:
+ * Each traced instruction emits one record:
  *
  *   O3PipeView:fetch:<cycle>:0x<pc>:0:<seq>:<disasm> [annotations]
  *   O3PipeView:decode:<cycle>
@@ -49,31 +49,8 @@ struct PipeTraceOptions
 };
 
 /**
- * Streaming tracer the timing core drives at commit time, when every
- * timestamp of the retiring instruction is final.
- */
-class PipeTracer
-{
-  public:
-    explicit PipeTracer(std::ostream &out,
-                        PipeTraceOptions options = PipeTraceOptions{});
-
-    /** Emit the record for a retiring instruction (window-gated). */
-    void onRetire(InstId id, const TraceRecord &rec,
-                  const InstTiming &timing);
-
-    /** Instructions actually emitted (inside the sampling window). */
-    std::uint64_t traced() const { return traced_; }
-
-  private:
-    std::ostream &out_;
-    PipeTraceOptions options_;
-    std::uint64_t traced_ = 0;
-};
-
-/**
- * Post-hoc convenience: trace a finished run from its timing records
- * (identical output to an in-run PipeTracer).
+ * Trace a finished run from its timing records: one record per
+ * instruction inside both windows, in program order.
  */
 void writePipeTrace(std::ostream &out, const Trace &trace,
                     const std::vector<InstTiming> &timing,

@@ -127,8 +127,7 @@ StatsSnapshot::filtered(const std::vector<std::string> &prefixes) const
 // StatsRegistry
 
 StatsRegistry::Entry &
-StatsRegistry::newEntry(const std::string &name, const std::string &desc,
-                        StatKind kind)
+StatsRegistry::newEntry(const std::string &name, StatKind kind)
 {
     if (!validStatName(name))
         CSIM_PANIC_F("StatsRegistry: malformed stat name '%s'",
@@ -139,37 +138,33 @@ StatsRegistry::newEntry(const std::string &name, const std::string &desc,
     index_.emplace(name, entries_.size());
     Entry &e = entries_.emplace_back();
     e.name = name;
-    e.desc = desc;
     e.kind = kind;
     return e;
 }
 
 Counter &
-StatsRegistry::addCounter(const std::string &name,
-                          const std::string &desc)
+StatsRegistry::addCounter(const std::string &name)
 {
-    Entry &e = newEntry(name, desc, StatKind::Counter);
+    Entry &e = newEntry(name, StatKind::Counter);
     e.counter = std::make_unique<Counter>();
     return *e.counter;
 }
 
 Histogram &
 StatsRegistry::addDistribution(const std::string &name, unsigned buckets,
-                               double lo, double hi,
-                               const std::string &desc)
+                               double lo, double hi)
 {
-    Entry &e = newEntry(name, desc, StatKind::Distribution);
+    Entry &e = newEntry(name, StatKind::Distribution);
     e.dist = std::make_unique<Histogram>(buckets, lo, hi);
     return *e.dist;
 }
 
 void
 StatsRegistry::addFormula(const std::string &name,
-                          std::function<double()> fn,
-                          const std::string &desc)
+                          std::function<double()> fn)
 {
     CSIM_ASSERT(fn != nullptr);
-    Entry &e = newEntry(name, desc, StatKind::Formula);
+    Entry &e = newEntry(name, StatKind::Formula);
     e.formula = std::move(fn);
 }
 
@@ -177,15 +172,6 @@ bool
 StatsRegistry::has(const std::string &name) const
 {
     return index_.count(name) != 0;
-}
-
-const std::string &
-StatsRegistry::description(const std::string &name) const
-{
-    auto it = index_.find(name);
-    if (it == index_.end())
-        CSIM_PANIC_F("StatsRegistry: unknown stat '%s'", name.c_str());
-    return entries_[it->second].desc;
 }
 
 StatsSnapshot

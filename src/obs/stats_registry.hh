@@ -135,22 +135,16 @@ class StatsRegistry
     StatsRegistry(const StatsRegistry &) = delete;
     StatsRegistry &operator=(const StatsRegistry &) = delete;
 
-    Counter &addCounter(const std::string &name,
-                        const std::string &desc = "");
+    Counter &addCounter(const std::string &name);
 
     Histogram &addDistribution(const std::string &name, unsigned buckets,
-                               double lo, double hi,
-                               const std::string &desc = "");
+                               double lo, double hi);
 
     /** A derived stat, evaluated lazily at snapshot time. */
-    void addFormula(const std::string &name, std::function<double()> fn,
-                    const std::string &desc = "");
+    void addFormula(const std::string &name, std::function<double()> fn);
 
     bool has(const std::string &name) const;
     std::size_t size() const { return entries_.size(); }
-
-    /** Human-readable description of a registered stat ("" if none). */
-    const std::string &description(const std::string &name) const;
 
     StatsSnapshot snapshot() const;
 
@@ -167,15 +161,13 @@ class StatsRegistry
     struct Entry
     {
         std::string name;
-        std::string desc;
         StatKind kind;
         std::unique_ptr<Counter> counter;
         std::unique_ptr<Histogram> dist;
         std::function<double()> formula;
     };
 
-    Entry &newEntry(const std::string &name, const std::string &desc,
-                    StatKind kind);
+    Entry &newEntry(const std::string &name, StatKind kind);
 
     std::vector<Entry> entries_;
     std::unordered_map<std::string, std::size_t> index_;

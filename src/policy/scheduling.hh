@@ -55,9 +55,8 @@ class CriticalScheduling : public SchedulingPolicy
     void
     registerStats(StatsRegistry &registry) override
     {
-        statCriticalClassed_ = &registry.addCounter(
-            "sched.critical.classedCritical",
-            "dispatches classed into the critical priority class");
+        statCriticalClassed_ =
+            &registry.addCounter("sched.critical.classedCritical");
     }
 
     const char *name() const override { return "critical"; }
@@ -94,9 +93,8 @@ class LocScheduling : public SchedulingPolicy
     void
     registerStats(StatsRegistry &registry) override
     {
-        statElevated_ = &registry.addCounter(
-            "sched.loc.classedElevated",
-            "dispatches classed above the non-critical mass");
+        // Dispatches classed above the non-critical mass.
+        statElevated_ = &registry.addCounter("sched.loc.classedElevated");
     }
 
     const char *name() const override { return "loc"; }

@@ -8,6 +8,18 @@ namespace csim {
 
 namespace {
 
+/** A consumer this likely to be critical is always kept with its
+ *  producer by proactive load-balancing, whatever the producer's LoC. */
+constexpr double keepAbsoluteLoc = 0.30;
+
+/**
+ * Proactive pushing engages only when the producer cluster's window
+ * occupancy reaches pressureNum/pressureDen of capacity (an integer
+ * ratio, so the gate stays exact at every window size).
+ */
+constexpr unsigned pressureNum = 3;
+constexpr unsigned pressureDen = 4;
+
 /** Snapshot the predictions for a steer decision. */
 void
 snapshotPredictions(SteerDecision &d, const TraceRecord &rec,
@@ -114,15 +126,14 @@ UnifiedSteering::UnifiedSteering(const UnifiedSteeringOptions &options,
 void
 UnifiedSteering::registerStats(StatsRegistry &registry)
 {
-    statStallDecisions_ = &registry.addCounter(
-        "steer.policy.stallDecisions",
-        "steers answered with a stall-over-steer decision");
-    statCritKeepVetoes_ = &registry.addCounter(
-        "steer.policy.critKeepVetoes",
-        "proactive pushes vetoed by the binary criticality predictor");
-    statLocKeepOverrides_ = &registry.addCounter(
-        "steer.policy.locKeepOverrides",
-        "proactive pushes vetoed by the LoC override");
+    statStallDecisions_ =
+        &registry.addCounter("steer.policy.stallDecisions");
+    // Proactive pushes vetoed by the binary criticality predictor, and
+    // by the LoC override.
+    statCritKeepVetoes_ =
+        &registry.addCounter("steer.policy.critKeepVetoes");
+    statLocKeepOverrides_ =
+        &registry.addCounter("steer.policy.locKeepOverrides");
 }
 
 void
@@ -249,8 +260,8 @@ UnifiedSteering::steer(const CoreView &view, const SteerRequest &req)
     // pressure; with a lightly loaded window, collocation is free and
     // pushing can only add forwarding delay (the hammock trap).
     const bool producer_pressured =
-        view.windowOccupancy(prod.cluster) * options_.pressureDen >=
-        view.config().windowPerCluster * options_.pressureNum;
+        view.windowOccupancy(prod.cluster) * pressureDen >=
+        view.config().windowPerCluster * pressureNum;
 
     if (options_.proactiveLB && producer_pressured) {
         const bool candidate =
@@ -267,7 +278,7 @@ UnifiedSteering::steer(const CoreView &view, const SteerRequest &req)
             const unsigned p_lvl =
                 locPred_->level(view.pcOf(prod.id));
             keep = (c_lvl >= 1 && 2 * c_lvl + 1 >= p_lvl) ||
-                loc_est >= options_.keepAbsoluteLoc;
+                loc_est >= keepAbsoluteLoc;
         }
         // The probabilistic LoC levels are noisy (binomial stationary
         // distribution); the 6-bit binary predictor's +8/-1 hysteresis

@@ -59,20 +59,6 @@ struct UnifiedSteeringOptions
     double stallThreshold = 0.30;
     /** Push not-most-critical consumers away from their producers. */
     bool proactiveLB = false;
-    /** Proactive-LB override: keep a consumer with LoC above this... */
-    double overrideMinLoc = 0.05;
-    /** ...and at least this fraction of its producer's LoC. */
-    double overrideProducerFraction = 0.5;
-    /** A consumer this likely to be critical is always kept with its
-     *  producer, whatever the producer's own LoC. */
-    double keepAbsoluteLoc = 0.30;
-    /**
-     * Proactive pushing engages only when the producer cluster's
-     * window occupancy reaches pressureNum/pressureDen of capacity
-     * (integer ratio: the gate stays exact at every window size).
-     */
-    unsigned pressureNum = 3;
-    unsigned pressureDen = 4;
 };
 
 /**

@@ -3,28 +3,21 @@
 namespace csim {
 
 CriticalityPredictor::CriticalityPredictor()
-    : CriticalityPredictor(Params{})
-{
-}
-
-CriticalityPredictor::CriticalityPredictor(const Params &params)
-    : params_(params),
-      mask_((std::size_t{1} << params.tableBits) - 1),
-      table_(std::size_t{1} << params.tableBits,
-             SatCounter(params.counterBits, params.up, params.down, 0))
+    : table_(std::size_t{1} << tableBits,
+             SatCounter(counterBits, up, down, 0))
 {
 }
 
 std::size_t
 CriticalityPredictor::index(Addr pc) const
 {
-    return (pc >> 2) & mask_;
+    return (pc >> 2) & ((std::size_t{1} << tableBits) - 1);
 }
 
 bool
 CriticalityPredictor::predict(Addr pc) const
 {
-    return table_[index(pc)].atLeast(params_.threshold);
+    return table_[index(pc)].atLeast(threshold);
 }
 
 void
@@ -41,11 +34,8 @@ CriticalityPredictor::train(Addr pc, bool critical)
 void
 CriticalityPredictor::attachStats(StatsRegistry &registry)
 {
-    statTrains_ = &registry.addCounter(
-        "predict.crit.trains", "binary predictor training events");
-    statTrainCritical_ = &registry.addCounter(
-        "predict.crit.trainsCritical",
-        "binary training events with a critical outcome");
+    statTrains_ = &registry.addCounter("predict.crit.trains");
+    statTrainCritical_ = &registry.addCounter("predict.crit.trainsCritical");
 }
 
 unsigned

@@ -22,17 +22,16 @@ namespace csim {
 class CriticalityPredictor
 {
   public:
-    struct Params
-    {
-        unsigned tableBits = 12;
-        unsigned counterBits = 6;
-        unsigned up = 8;
-        unsigned down = 1;
-        unsigned threshold = 8;
-    };
+    /** log2 of the table's entry count. */
+    static constexpr unsigned tableBits = 12;
+    static constexpr unsigned counterBits = 6;
+    /** Counter step on a critical / a non-critical training. */
+    static constexpr unsigned up = 8;
+    static constexpr unsigned down = 1;
+    /** Counter value at and above which pc predicts critical. */
+    static constexpr unsigned threshold = 8;
 
     CriticalityPredictor();
-    explicit CriticalityPredictor(const Params &params);
 
     /** Predict whether the static instruction at pc is critical. */
     bool predict(Addr pc) const;
@@ -52,8 +51,6 @@ class CriticalityPredictor
   private:
     std::size_t index(Addr pc) const;
 
-    Params params_;
-    std::size_t mask_;
     std::vector<SatCounter> table_;
 
     Counter *statTrains_ = nullptr;

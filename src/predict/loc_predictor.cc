@@ -9,17 +9,15 @@ LocPredictor::LocPredictor()
 
 LocPredictor::LocPredictor(const Params &params)
     : params_(params),
-      mask_((std::size_t{1} << params.tableBits) - 1),
-      table_(std::size_t{1} << params.tableBits,
-             ProbCounter(params.levels, 0)),
-      rng_(params.seed)
+      table_(std::size_t{1} << tableBits, ProbCounter(params.levels, 0)),
+      rng_(seed)
 {
 }
 
 std::size_t
 LocPredictor::index(Addr pc) const
 {
-    return (pc >> 2) & mask_;
+    return (pc >> 2) & ((std::size_t{1} << tableBits) - 1);
 }
 
 unsigned
@@ -48,11 +46,8 @@ LocPredictor::train(Addr pc, bool critical)
 void
 LocPredictor::attachStats(StatsRegistry &registry)
 {
-    statTrains_ = &registry.addCounter(
-        "predict.loc.trains", "LoC predictor training events");
-    statTrainCritical_ = &registry.addCounter(
-        "predict.loc.trainsCritical",
-        "LoC training events with a critical outcome");
+    statTrains_ = &registry.addCounter("predict.loc.trains");
+    statTrainCritical_ = &registry.addCounter("predict.loc.trainsCritical");
 }
 
 void

@@ -23,11 +23,14 @@ namespace csim {
 class LocPredictor
 {
   public:
+    /** log2 of the table's entry count. */
+    static constexpr unsigned tableBits = 12;
+    /** Seed of the probabilistic counters' update stream. */
+    static constexpr std::uint64_t seed = 0x10c0ull;
+
     struct Params
     {
-        unsigned tableBits = 12;
         unsigned levels = 16;
-        std::uint64_t seed = 0x10c0ull;
     };
 
     LocPredictor();
@@ -54,7 +57,6 @@ class LocPredictor
     std::size_t index(Addr pc) const;
 
     Params params_;
-    std::size_t mask_;
     std::vector<ProbCounter> table_;
     Rng rng_;
 

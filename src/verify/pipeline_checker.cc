@@ -73,21 +73,13 @@ PipelineChecker::violation(Invariant inv, std::string detail)
 void
 PipelineChecker::registerStats(StatsRegistry &registry)
 {
-    statCheckedInsts_ = &registry.addCounter(
-        "verify.checkedInstructions",
-        "instructions validated by the pipeline checker");
-    statCheckedCycles_ = &registry.addCounter(
-        "verify.checkedCycles",
-        "cycles validated by the pipeline checker");
-    statViolations_ = &registry.addCounter(
-        "verify.violations", "total pipeline invariant violations");
+    statCheckedInsts_ = &registry.addCounter("verify.checkedInstructions");
+    statCheckedCycles_ = &registry.addCounter("verify.checkedCycles");
+    statViolations_ = &registry.addCounter("verify.violations");
     for (std::size_t i = 0; i < numInvariants; ++i)
         statByClass_[i] = &registry.addCounter(
             std::string("verify.violation.") +
-                invariantName(static_cast<Invariant>(i)),
-            std::string("violations of the ") +
-                invariantName(static_cast<Invariant>(i)) +
-                " invariant family");
+            invariantName(static_cast<Invariant>(i)));
 }
 
 void

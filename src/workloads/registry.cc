@@ -75,14 +75,13 @@ namespace {
 template <typename Sink>
 std::uint64_t
 buildChunks(const std::string &name, const WorkloadConfig &cfg,
-            std::uint64_t chunkInstructions, const MemoryModelConfig &mem,
-            unsigned gshare_bits, Sink &&sink)
+            std::uint64_t chunkInstructions, Sink &&sink)
 {
     CSIM_ASSERT(chunkInstructions > 0);
     PreparedWorkload w = workloadPreparer(name)(cfg);
     StreamingProducerLinker linker;
-    GsharePredictor pred(gshare_bits);
-    Cache l1(mem.l1);
+    GsharePredictor pred;
+    Cache l1;
 
     std::uint64_t built = 0;
     while (built < cfg.targetInstructions && !w.emulator->done()) {
@@ -105,7 +104,7 @@ buildChunks(const std::string &name, const WorkloadConfig &cfg,
         }
         {
             HOST_PROF_SCOPE("trace.annotateMemory");
-            annotateMemory(chunk, l1, mem);
+            annotateMemory(chunk, l1);
         }
         if (!sink(chunk))
             break;
@@ -117,13 +116,12 @@ buildChunks(const std::string &name, const WorkloadConfig &cfg,
 } // anonymous namespace
 
 Trace
-buildAnnotatedTrace(const std::string &name, const WorkloadConfig &cfg,
-                    const MemoryModelConfig &mem, unsigned gshare_bits)
+buildAnnotatedTrace(const std::string &name, const WorkloadConfig &cfg)
 {
     HOST_PROF_SCOPE("trace.build");
     Trace trace;
     trace.reserve(cfg.targetInstructions);
-    buildChunks(name, cfg, traceChunkInstructions, mem, gshare_bits,
+    buildChunks(name, cfg, traceChunkInstructions,
                 [&](const Trace &chunk) {
                     trace.appendRows(chunk.soa(), 0, chunk.size());
                     return true;
@@ -135,15 +133,14 @@ buildAnnotatedTrace(const std::string &name, const WorkloadConfig &cfg,
 TraceStoreBuildResult
 buildTraceStoreFile(const std::string &name, const WorkloadConfig &cfg,
                     const std::string &path,
-                    std::uint64_t chunkInstructions,
-                    const MemoryModelConfig &mem, unsigned gshare_bits)
+                    std::uint64_t chunkInstructions)
 {
     HOST_PROF_SCOPE("trace.buildStore");
     TraceStoreWriter writer(path, cfg.targetInstructions);
     TraceStoreBuildResult res;
     // A failed append leaves the writer failed, so finalize() fails.
     res.instructions = buildChunks(
-        name, cfg, chunkInstructions, mem, gshare_bits,
+        name, cfg, chunkInstructions,
         [&](const Trace &chunk) { return writer.append(chunk); });
     if (!writer.finalize())
         return res;

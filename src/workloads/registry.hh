@@ -34,10 +34,7 @@ Trace buildWorkloadTrace(const std::string &name,
  * the same chunk loop as buildTraceStoreFile with an in-memory sink.
  */
 Trace buildAnnotatedTrace(const std::string &name,
-                          const WorkloadConfig &cfg,
-                          const MemoryModelConfig &mem =
-                              MemoryModelConfig{},
-                          unsigned gshare_bits = 16);
+                          const WorkloadConfig &cfg);
 
 /** Instructions per chunk of the trace-build loop. */
 inline constexpr std::uint64_t traceChunkInstructions = 1u << 16;
@@ -63,9 +60,7 @@ TraceStoreBuildResult
 buildTraceStoreFile(const std::string &name, const WorkloadConfig &cfg,
                     const std::string &path,
                     std::uint64_t chunkInstructions =
-                        traceChunkInstructions,
-                    const MemoryModelConfig &mem = MemoryModelConfig{},
-                    unsigned gshare_bits = 16);
+                        traceChunkInstructions);
 
 } // namespace csim
 

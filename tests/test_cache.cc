@@ -158,22 +158,5 @@ TEST(LatencyAnnotator, NonMemOpsUntouched)
     EXPECT_EQ(t[0].execLat, 1u);
 }
 
-TEST(LatencyAnnotator, CustomLatencies)
-{
-    Program p;
-    p.lui(r(1), 0x1000);
-    p.ld(r(2), r(1), 0);
-    p.halt();
-    p.finalize();
-    Emulator emu(p);
-    Trace t = emu.run(100);
-
-    MemoryModelConfig cfg;
-    cfg.loadToUse = 2;
-    cfg.l2Latency = 50;
-    annotateMemory(t, cfg);
-    EXPECT_EQ(t[1].execLat, 52u);
-}
-
 } // anonymous namespace
 } // namespace csim

@@ -167,7 +167,8 @@ TEST(Harness, AblationKnobsArePlumbedThrough)
     PolicyRun d = runPolicy(trace, mc, PolicyKind::FocusedLocStall,
                             strict);
     // A near-zero threshold stalls far more often.
-    EXPECT_GT(c.sim.steerStallCycles, d.sim.steerStallCycles);
+    EXPECT_GT(c.sim.stats.value("steer.stallCycles"),
+              d.sim.stats.value("steer.stallCycles"));
 }
 
 TEST(FigureGrid, AveragesAndFormats)

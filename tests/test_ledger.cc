@@ -364,8 +364,8 @@ TEST(RunLedger, PayloadsByteIdenticalAcrossThreadCounts)
 TEST(RunLedger, StatsDigestCommitsToEveryStat)
 {
     StatsRegistry reg;
-    Counter &a = reg.addCounter("a", "");
-    reg.addCounter("b", "");
+    Counter &a = reg.addCounter("a");
+    reg.addCounter("b");
     const std::string before = statsDigest(reg.snapshot());
     EXPECT_EQ(before.size(), 16u);
     EXPECT_EQ(before, statsDigest(reg.snapshot())); // stable

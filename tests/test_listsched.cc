@@ -90,6 +90,25 @@ TEST(Regions, CapOnly)
         EXPECT_FALSE(regions[i].endsWithMispredict);
 }
 
+TEST(ListSched, RegionsAreBoundedByTheMachinesRob)
+{
+    // No mispredicts: only the scope cap splits the trace, and the
+    // cap is the target machine's ROB.
+    Program p;
+    for (int i = 0; i < 1000; ++i)
+        p.addi(r(1 + i % 8), r(1 + i % 8), 1);
+    p.halt();
+    p.finalize();
+    Trace t = prepare(p);
+    SimResult ref = refRun(t);
+
+    MachineConfig small_rob = MachineConfig::monolithic();
+    small_rob.robEntries = 64;
+    ListSchedResult res = listSchedule(t, ref.timing, small_rob);
+    EXPECT_GE(res.regions, (t.size() + 63) / 64);
+    EXPECT_EQ(res.instructions, t.size());
+}
+
 TEST(ListSched, SerialChainBoundedByDataflow)
 {
     Program p;

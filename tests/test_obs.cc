@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
@@ -44,13 +45,11 @@ prepare(const Program &p, std::uint64_t n = 100000)
 }
 
 SimResult
-runMono(const Trace &trace, const SimOptions &opts = SimOptions{})
+runMono(const Trace &trace)
 {
     UnifiedSteering steer(UnifiedSteeringOptions{}, nullptr, nullptr);
     AgeScheduling age;
-    return TimingSim(MachineConfig::monolithic(), trace, steer, age,
-                     nullptr, opts)
-        .run();
+    return TimingSim(MachineConfig::monolithic(), trace, steer, age).run();
 }
 
 // ------------------------------------------------------------------ //
@@ -59,7 +58,7 @@ runMono(const Trace &trace, const SimOptions &opts = SimOptions{})
 TEST(StatsRegistry, CountersAndFormulas)
 {
     StatsRegistry reg;
-    Counter &a = reg.addCounter("a.count", "a counter");
+    Counter &a = reg.addCounter("a.count");
     Counter &b = reg.addCounter("a.other");
     reg.addFormula("a.ratio", [&] {
         return b.value() ? static_cast<double>(a.value()) /
@@ -73,7 +72,6 @@ TEST(StatsRegistry, CountersAndFormulas)
     EXPECT_TRUE(reg.has("a.count"));
     EXPECT_FALSE(reg.has("a.missing"));
     EXPECT_EQ(reg.size(), 3u);
-    EXPECT_EQ(reg.description("a.count"), "a counter");
 
     StatsSnapshot snap = reg.snapshot();
     EXPECT_EQ(snap.value("a.count"), 5.0);
@@ -183,8 +181,6 @@ TEST(StatsIntegration, RegistryMatchesLegacyFields)
     // The legacy SimResult fields are copies of registry counters.
     EXPECT_EQ(res.stats.value("sim.globalValues"),
               static_cast<double>(res.globalValues));
-    EXPECT_EQ(res.stats.value("steer.stallCycles"),
-              static_cast<double>(res.steerStallCycles));
     EXPECT_EQ(res.stats.value("sim.cycles"),
               static_cast<double>(res.cycles));
     EXPECT_EQ(res.stats.value("sim.instructions"),
@@ -251,14 +247,11 @@ TEST(PipeTrace, GoldenSingleInstruction)
     Trace t = prepare(p);
     ASSERT_EQ(t.size(), 1u);
 
-    SimOptions opts;
-    std::ostringstream out;
-    PipeTracer tracer(out);
-    opts.pipeTracer = &tracer;
-    SimResult res = runMono(t, opts);
+    SimResult res = runMono(t);
     ASSERT_EQ(res.instructions, 1u);
-    EXPECT_EQ(tracer.traced(), 1u);
 
+    std::ostringstream out;
+    writePipeTrace(out, t, res.timing);
     EXPECT_EQ(out.str(),
               "O3PipeView:fetch:0:0x00001000:0:0:addi c0 crit=0 "
               "loc=0\n"
@@ -268,11 +261,6 @@ TEST(PipeTrace, GoldenSingleInstruction)
               "O3PipeView:issue:14\n"
               "O3PipeView:complete:15\n"
               "O3PipeView:retire:16:store:0\n");
-
-    // The post-hoc writer reproduces the streaming output.
-    std::ostringstream post;
-    writePipeTrace(post, t, res.timing);
-    EXPECT_EQ(post.str(), out.str());
 }
 
 TEST(PipeTrace, OrderingOnPaperExample)
@@ -288,16 +276,12 @@ TEST(PipeTrace, OrderingOnPaperExample)
     annotateBranches(t);
     annotateMemory(t);
 
-    std::ostringstream out;
-    PipeTracer tracer(out);
-    SimOptions opts;
-    opts.pipeTracer = &tracer;
     UnifiedSteering steer(UnifiedSteeringOptions{}, nullptr, nullptr);
     AgeScheduling age;
-    SimResult res = TimingSim(MachineConfig::clustered(8), t, steer,
-                              age, nullptr, opts)
-                        .run();
-    EXPECT_EQ(tracer.traced(), res.instructions);
+    SimResult res =
+        TimingSim(MachineConfig::clustered(8), t, steer, age).run();
+    std::ostringstream out;
+    writePipeTrace(out, t, res.timing);
 
     // Parse the stream back and re-check the ordering record by
     // record (the tracer asserts it too, but the text is the API).
@@ -348,17 +332,16 @@ TEST(PipeTrace, SamplingWindow)
     w.startInst = 10;
     w.endInst = 20;
     std::ostringstream out;
-    PipeTracer tracer(out, w);
-    SimOptions opts;
-    opts.pipeTracer = &tracer;
-    (void)runMono(t, opts);
+    writePipeTrace(out, t, runMono(t).timing, w);
+    const std::string text = out.str();
 
-    EXPECT_EQ(tracer.traced(), 10u);
+    // Ten 7-line records.
+    EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 70);
     // Sequence numbers 10..19 only.
-    EXPECT_EQ(out.str().find(":0:9:"), std::string::npos);
-    EXPECT_NE(out.str().find(":0:10:"), std::string::npos);
-    EXPECT_NE(out.str().find(":0:19:"), std::string::npos);
-    EXPECT_EQ(out.str().find(":0:20:"), std::string::npos);
+    EXPECT_EQ(text.find(":0:9:"), std::string::npos);
+    EXPECT_NE(text.find(":0:10:"), std::string::npos);
+    EXPECT_NE(text.find(":0:19:"), std::string::npos);
+    EXPECT_EQ(text.find(":0:20:"), std::string::npos);
 }
 
 TEST(PipeTrace, CycleWindowGolden)

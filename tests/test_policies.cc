@@ -55,30 +55,24 @@ class MockView : public CoreView
     {
         return timing_.at(id).cluster;
     }
-    const TraceRecord &
-    record(InstId id) const override
-    {
-        return records_.at(id);
-    }
     const InstTiming &
     timingOf(InstId id) const override
     {
         return timing_.at(id);
     }
+    Addr pcOf(InstId id) const override { return pcs_.at(id); }
 
     /** Add an in-flight (dispatched, un-issued) producer. */
     InstId
     addInFlight(ClusterId cluster, Addr pc)
     {
-        TraceRecord rec;
-        rec.pc = pc;
-        records_.push_back(rec);
+        pcs_.push_back(pc);
         InstTiming t;
         t.dispatch = 1;
         t.cluster = cluster;
         timing_.push_back(t);
         ++occupancy_[cluster];
-        return records_.size() - 1;
+        return pcs_.size() - 1;
     }
 
     void
@@ -90,7 +84,7 @@ class MockView : public CoreView
     MachineConfig config_;
     Cycle now_ = 10;
     std::vector<unsigned> occupancy_;
-    std::vector<TraceRecord> records_;
+    std::vector<Addr> pcs_;
     std::vector<InstTiming> timing_;
 };
 

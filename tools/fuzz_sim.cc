@@ -29,6 +29,8 @@
 
 #include <unistd.h>
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -36,6 +38,7 @@
 
 #include "common/rng.hh"
 #include "harness/experiment.hh"
+#include "harness/json_report.hh"
 #include "policy/scheduling.hh"
 #include "policy/steering.hh"
 #include "trace/trace_soa.hh"
@@ -65,16 +68,17 @@ usage(const char *bad)
     std::exit(bad ? 2 : 0);
 }
 
-std::uint64_t
-parseU64(const char *flag, const char *v)
+/** A relative tolerance: the whole string a finite number >= 0. */
+double
+parseTolerance(const char *v)
 {
-    char *end = nullptr;
-    const unsigned long long n = std::strtoull(v, &end, 10);
-    if (*v == '\0' || *end != '\0') {
-        std::fprintf(stderr, "fuzz_sim: bad %s '%s'\n", flag, v);
-        std::exit(2);
-    }
-    return n;
+    double tol = 0.0;
+    const char *end = v + std::strlen(v);
+    const auto [stop, ec] = std::from_chars(v, end, tol);
+    if (ec != std::errc{} || stop != end || !std::isfinite(tol) ||
+        tol < 0.0)
+        CSIM_FATAL_F("fuzz_sim: bad --tol '%s'", v);
+    return tol;
 }
 
 FuzzArgs
@@ -89,14 +93,15 @@ parseArgs(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--start")
-            args.startSeed = parseU64("--start", next());
+            args.startSeed =
+                parseFlagValue("fuzz_sim", "--start", next(), 0);
         else if (arg == "--seeds")
-            args.numSeeds = parseU64("--seeds", next());
+            args.numSeeds = parseFlagValue("fuzz_sim", "--seeds", next());
         else if (arg == "--instructions")
             args.instructions =
-                parseU64("--instructions", next());
+                parseFlagValue("fuzz_sim", "--instructions", next());
         else if (arg == "--tol")
-            args.relTol = std::atof(next());
+            args.relTol = parseTolerance(next());
         else if (arg == "--verbose")
             args.verbose = true;
         else if (arg == "--help" || arg == "-h")
